@@ -9,7 +9,7 @@ drives every bound downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -117,7 +117,6 @@ class EProfile:
     e_min: int
     e_max: int
     first_occurrence: dict[int, int]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def value_at(self, x: int) -> int:
         """E(x) for any integer x >= 1, by periodic extension."""

@@ -1,12 +1,20 @@
-"""Threshold sweeps: tabulate limits, eigenvalues, and term counts over rho."""
+"""Threshold sweeps: tabulate limits, eigenvalues, and term counts over rho.
+
+Every row is read from the exact fixed point of ``iteration``. The pairs kept
+at any rho >= rho_min are the pairs kept at rho_min whose ratio reaches rho,
+so rows that keep the same pair counts share one exact solve.
+"""
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
-from .scheme import Scheme, EProfile, e_profile, constant_A
-from .selection import select_terms
+from .iteration import build_recurrence, fixed_point
+from .scheme import Scheme, constant_A, e_profile
+from .selection import _select, pair_pattern
 
 
 @dataclass(frozen=True)
@@ -22,57 +30,51 @@ class SweepRow:
     converges: bool
 
 
-def _evaluate_rho(
-    profile: EProfile,
-    A: float,
-    rho: float,
-    exclude: tuple[tuple[int, int], ...] = (),
-) -> SweepRow:
-    """One grid point, float arithmetic throughout (exact path is in iteration)."""
-    lower = select_terms(profile, "lower", rho, exclude=exclude)
-    upper = select_terms(profile, "upper", rho, exclude=exclude)
-    n = profile.n
-    k = n / (n - 1)
+def _row_maker(
+    s: Scheme, rho_min: float, exclude: tuple[tuple[int, int], ...]
+) -> Callable[[float], SweepRow]:
+    """SweepRow factory valid for every rho >= rho_min."""
+    profile = e_profile(s)
+    A = constant_A(s)
+    patterns = [pair_pattern(profile, side) for side in ("lower", "upper")]
+    sels = [_select(pattern, rho_min, exclude=exclude) for pattern in patterns]
+    by_ratio = [sorted(sel.kept_pairs, key=lambda p: -(p[1] / p[0])) for sel in sels]
+    neg_ratios = [[-(n / m) for m, n in pairs] for pairs in by_ratio]
+    solved: dict = {}
 
-    m11 = sum(1.0 / m for m, _ in upper.kept_pairs)
-    m12 = -(
-        sum(1.0 / q for _, q in upper.kept_pairs)
-        + sum(1.0 / v for v in upper.standalones)
-    )
-    m21 = -k * sum(1.0 / m for m, _ in lower.kept_pairs)
-    m22 = k * (
-        sum(1.0 / q for _, q in lower.kept_pairs)
-        + sum(1.0 / u for u in lower.standalones)
-    )
+    def make_row(rho: float) -> SweepRow:
+        counts = tuple(bisect.bisect_right(neg, -rho) for neg in neg_ratios)
+        if counts not in solved:
+            # only the kept pairs and standalones feed the recurrence
+            lower, upper = (
+                replace(sel, rho=rho, kept_pairs=tuple(pairs[:c]))
+                for sel, pairs, c in zip(sels, by_ratio, counts)
+            )
+            fp = fixed_point(build_recurrence(lower, upper, A, profile.n))
+            solved[counts] = (fp, lower.n_terms, upper.n_terms)
+        fp, n_lower, n_upper = solved[counts]
+        # a complex-conjugate pair is reported by its modulus
+        lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in fp.eigenvalues)
+        return SweepRow(
+            rho=rho,
+            a_limit=fp.a_limit,
+            b_limit=fp.b_limit,
+            ratio=fp.b_limit / fp.a_limit if fp.a_limit else math.inf,
+            lambda1=lam1,
+            lambda2=lam2,
+            n_lower_terms=n_lower,
+            n_upper_terms=n_upper,
+            converges=fp.converges,
+        )
 
-    det_im = (1 - m11) * (1 - m22) - m12 * m21
-    if det_im != 0:
-        a = ((1 - m22) * A + m12 * k * A) / det_im
-        b = (m21 * A + (1 - m11) * k * A) / det_im
-    else:
-        a = b = math.nan
+    return make_row
 
-    tr = m11 + m22
-    det = m11 * m22 - m12 * m21
-    disc = tr * tr - 4 * det
-    if disc >= 0:
-        root = math.sqrt(disc)
-        lam1, lam2 = (tr - root) / 2, (tr + root) / 2
-    else:
-        lam1 = lam2 = math.hypot(tr / 2, math.sqrt(-disc) / 2)
-    converges = abs(det) < 1 and abs(tr) < 1 + det
 
-    return SweepRow(
-        rho=rho,
-        a_limit=a,
-        b_limit=b,
-        ratio=b / a if a else math.inf,
-        lambda1=lam1,
-        lambda2=lam2,
-        n_lower_terms=lower.n_terms,
-        n_upper_terms=upper.n_terms,
-        converges=converges,
-    )
+def _grid(rho_min: float, rho_max: float, step: float) -> list[float]:
+    if not (1 < rho_min < rho_max) or step <= 0:
+        raise ValueError("require 1 < rho_min < rho_max and step > 0")
+    count = int(math.floor((rho_max - rho_min) / step + 1e-9)) + 1
+    return [rho_min + i * step for i in range(count)]
 
 
 def sweep_rho(
@@ -81,18 +83,11 @@ def sweep_rho(
     rho_max: float = 2.0,
     step: float = 0.005,
     exclude: tuple[tuple[int, int], ...] = (),
-    profile: EProfile | None = None,
 ) -> list[SweepRow]:
     """One SweepRow per grid point rho_min, rho_min+step, ..., <= rho_max."""
-    if not (1 < rho_min < rho_max) or step <= 0:
-        raise ValueError("require 1 < rho_min < rho_max and step > 0")
-    if profile is None:
-        profile = e_profile(s)
-    A = constant_A(s)
-    count = int(math.floor((rho_max - rho_min) / step + 1e-9)) + 1
-    return [
-        _evaluate_rho(profile, A, rho_min + i * step, exclude) for i in range(count)
-    ]
+    grid = _grid(rho_min, rho_max, step)
+    make_row = _row_maker(s, rho_min, exclude)
+    return [make_row(rho) for rho in grid]
 
 
 @dataclass(frozen=True)
@@ -108,25 +103,21 @@ def optimize_rho(
     rho_min: float = 1.02,
     rho_max: float = 2.0,
     coarse_step: float = 0.005,
-    refine_rounds: int = 3,
     exclude: tuple[tuple[int, int], ...] = (),
 ) -> OptimizeResult:
     """Locate near-optimal rho for argmax a, argmin b, and argmin b/a."""
-    profile = e_profile(s)
-    A = constant_A(s)
-    rows = sweep_rho(s, rho_min, rho_max, coarse_step, exclude, profile)
-    usable = [r for r in rows if r.converges and r.a_limit > 0]
+    grid = _grid(rho_min, rho_max, coarse_step)
+    make_row = _row_maker(s, rho_min, exclude)
+    usable = [r for r in map(make_row, grid) if r.converges and r.a_limit > 0]
     if not usable:
         raise ValueError("no converging grid point in the sweep range")
 
     def refine(best: SweepRow, key) -> SweepRow:
         step = coarse_step
-        for _ in range(refine_rounds):
+        for _ in range(3):  # halve the grid step three times
             step /= 2
             lo = max(rho_min, best.rho - 2 * step)
-            cands = [
-                _evaluate_rho(profile, A, lo + i * step, exclude) for i in range(5)
-            ]
+            cands = [make_row(lo + i * step) for i in range(5)]
             cands = [c for c in cands if c.converges and c.a_limit > 0]
             best = min(cands + [best], key=key)
         return best
@@ -141,7 +132,7 @@ def optimize_rho(
         target = min(max(best_ratio.ratio, rho_min), rho_max)
         if abs(target - best_ratio.rho) < 1e-12:
             break
-        cand = _evaluate_rho(profile, A, target, exclude)
+        cand = make_row(target)
         if cand.converges and cand.ratio <= best_ratio.ratio + 1e-12:
             best_ratio = cand
         else:

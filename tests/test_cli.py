@@ -202,6 +202,13 @@ def test_unknown_scheme_name(capsys):
     assert err.startswith("chebsylv: error")
 
 
+def test_select_rho_near_one_exits_2(capsys):
+    code, out, err = run_cli(capsys, "select", "nu1", "--rho", "1.000001", "--side", "lower")
+    assert code == 2
+    assert out == ""
+    assert "over the cap" in err
+
+
 def test_floats_have_12_significant_digits(capsys):
     _, out, _ = run_cli(capsys, "analyze", "cheb")
     data = json.loads(out)

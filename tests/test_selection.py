@@ -3,6 +3,7 @@ import pytest
 
 from chebsylv import (
     BUILTINS,
+    CapacityError,
     DominationError,
     e_profile,
     jump_stream,
@@ -11,6 +12,7 @@ from chebsylv import (
     selection_rows,
     selection_step_function,
 )
+from chebsylv.selection import pair_pattern
 from fractions import Fraction
 
 
@@ -179,3 +181,73 @@ def test_scan_end_is_whole_periods(profiles):
         sel = select_terms(p, "upper", 1.3)
         assert sel.scan_end % p.period == 0
         assert sel.scan_end >= 3 * p.period
+
+
+def _brute_force(p, side, rho, scan_end, max_index=None, exclude=()):
+    """Stack-match jump_stream(p, scan_end + 2P) directly and filter by ratio."""
+    open_sign = 1 if side == "lower" else -1
+    leading = [(1, 1)] + ([(p.n, -1)] if side == "lower" else [])
+    stack, pairs, alone = [], [], []
+    for j in jump_stream(p, scan_end + 2 * p.period):
+        if (j.position, j.sign) in leading:
+            leading.remove((j.position, j.sign))
+        elif j.sign == open_sign:
+            stack.append(j.position)
+        elif stack:
+            pairs.append((stack.pop(), j.position))
+        else:
+            alone.append(j.position)
+
+    def in_range(x):
+        return max_index is None or x <= max_index
+
+    scanned = sorted(pr for pr in pairs if pr[1] <= scan_end)
+    kept = [pr for pr in scanned if pr[1] / pr[0] >= rho and pr not in exclude and in_range(pr[0])]
+    dropped = sorted(set(scanned) - set(kept))
+    return kept, dropped, [u for u in alone if u <= scan_end and in_range(u)], pairs
+
+
+_ORACLE_RHOS = (1.05, 1.1, 1.113, 1.2, 1.5, 2.0)
+_ORACLE_CASES = [
+    (name, side, rho, None, ())
+    for name in BUILTINS
+    for side in ("lower", "upper")
+    for rho in ((1.1, 1.5) if name == "nu8" else _ORACLE_RHOS)
+] + [
+    ("nu7", "lower", 1.1, 616, ()),
+    ("nu7", "upper", 1.113, 616, ()),
+    ("nu6", "lower", 1.1, None, ((281, 310),)),
+]
+
+
+def _case_id(case):
+    name, side, rho, max_index, exclude = case
+    extra = (f"-max{max_index}" if max_index else "") + ("-exclude" if exclude else "")
+    return f"{name}-{side}-{rho}{extra}"
+
+
+@pytest.mark.parametrize(
+    "name,side,rho,max_index,exclude", _ORACLE_CASES, ids=map(_case_id, _ORACLE_CASES)
+)
+def test_selection_matches_brute_force_matching(profiles, name, side, rho, max_index, exclude):
+    p = profiles[name]
+    sel = select_terms(p, side, rho, max_index=max_index, exclude=exclude)
+    kept, dropped, standalones, pairs = _brute_force(p, side, rho, sel.scan_end, max_index, exclude)
+    assert list(sel.kept_pairs) == kept
+    assert list(sel.dropped_pairs) == dropped
+    assert list(sel.standalones) == standalones
+    # no pair past the scan reaches rho; the scan stops at the steady period
+    # or right after the last period holding a pair above rho
+    end, period = sel.scan_end, p.period
+    assert end % period == 0
+    assert all(n / m < rho for m, n in pairs if n > end)
+    assert all(n / m <= rho for m, n in pairs if end - period < n <= end)
+    assert end == pair_pattern(p, side).steady_period * period or any(
+        n / m > rho for m, n in pairs if end - 2 * period < n <= end - period
+    )
+
+
+def test_rho_near_one_exceeds_the_pair_cap(profiles):
+    # about 5 * 10^5 kept pairs: refused before any pair is enumerated
+    with pytest.raises(CapacityError):
+        select_terms(profiles["nu1"], "lower", 1.000001)

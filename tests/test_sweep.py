@@ -23,17 +23,19 @@ def test_sweep_grid_size_and_order():
 
 
 def test_sweep_rows_match_exact_iteration(profiles):
-    p = profiles["nu4"]
-    a_const = constant_A(BUILTINS["nu4"])
-    for row in sweep_rho(BUILTINS["nu4"], 1.2, 1.6, 0.1):
-        lower = select_terms(p, "lower", row.rho)
-        upper = select_terms(p, "upper", row.rho)
-        exact = fixed_point(build_recurrence(lower, upper, a_const, p.n))
-        assert row.a_limit == pytest.approx(exact.a_limit, rel=1e-10)
-        assert row.b_limit == pytest.approx(exact.b_limit, rel=1e-10)
-        assert row.converges == exact.converges
-        assert row.n_lower_terms == lower.n_terms
-        assert row.n_upper_terms == upper.n_terms
+    windows = {"nu4": (1.2, 1.6, 0.1), "cheb": (1.05, 2.0, 0.05), "nu6": (1.05, 1.6, 0.05)}
+    for name, window in windows.items():
+        p = profiles[name]
+        a_const = constant_A(BUILTINS[name])
+        for row in sweep_rho(BUILTINS[name], *window):
+            lower = select_terms(p, "lower", row.rho)
+            upper = select_terms(p, "upper", row.rho)
+            exact = fixed_point(build_recurrence(lower, upper, a_const, p.n))
+            assert row.a_limit == exact.a_limit
+            assert row.b_limit == exact.b_limit
+            assert row.converges == exact.converges
+            assert row.n_lower_terms == lower.n_terms
+            assert row.n_upper_terms == upper.n_terms
 
 
 def test_term_counts_nonincreasing_in_rho():
