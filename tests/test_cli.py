@@ -160,6 +160,19 @@ def test_verify_convolution(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "convolution", "--limit", "1000000"),
+        ("verify", "v-identity", "--scheme", "nu8", "--limit", "1000000"),
+    ],
+)
+def test_verify_identity_checks_reach_one_million(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_lcm(capsys):
     code, out, _ = run_cli(capsys, "verify", "lcm")
     assert code == 0

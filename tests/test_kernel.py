@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from chebsylv import (
     psi,
     psi_pi_bracket,
 )
+from chebsylv.kernel import SieveTables
 
 
 def brute_lambda(n: int) -> float:
@@ -30,6 +32,82 @@ def brute_lambda(n: int) -> float:
         if n % p == 0:
             return 0.0
     return 0.0
+
+
+def loop_sieve(limit: int) -> SieveTables:
+    """Reference sieve: one Python pass over every prime <= limit."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[: min(2, limit + 1)] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    lam = np.zeros(limit + 1, dtype=np.float64)
+    moebius = np.ones(limit + 1, dtype=np.int8)
+    moebius[0] = 0
+    for p in np.nonzero(is_prime)[0]:
+        p = int(p)
+        logp = math.log(p)
+        pk = p
+        while pk <= limit:
+            lam[pk] = logp
+            pk *= p
+        moebius[p::p] = -moebius[p::p]
+        if p * p <= limit:
+            moebius[p * p :: p * p] = 0
+    return SieveTables(
+        limit=limit,
+        lam=lam,
+        moebius=moebius,
+        is_prime=is_prime,
+        psi_prefix=np.cumsum(lam),
+        pi_prefix=np.cumsum(is_prime.astype(np.int64)),
+    )
+
+
+def brute_convolution_devs(limit: int, tables: SieveTables) -> tuple[float, float]:
+    """Both sides of T = sum_k psi(x/k) and psi = sum_k mu(k) T(x/k) at every
+    x <= limit, O(limit^2); returns the two max deviations."""
+    t = log_prefix(limit)
+    psi_p = tables.psi_prefix
+    mu = tables.moebius.astype(np.float64)
+    ks = np.arange(1, limit + 1)
+    max_dev_t = max_dev_psi = 0.0
+    for x in range(1, limit + 1):
+        idx = x // ks[:x]
+        max_dev_t = max(max_dev_t, abs(t[x] - psi_p[idx].sum()))
+        max_dev_psi = max(max_dev_psi, abs(psi_p[x] - (mu[1 : x + 1] * t[idx]).sum()))
+    return max_dev_t, max_dev_psi
+
+
+# p^2 - 1 and p^2 for p = 2, 3, 5, 7, 11 bracket the points where a prime
+# joins the small-prime loop.
+@pytest.mark.parametrize(
+    "limit", [1, 2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 10**5, 10**6]
+)
+def test_sieve_bit_identical_to_loop_sieve(limit):
+    got, ref = build_sieve(limit), loop_sieve(limit)
+    for name in ("lam", "moebius", "is_prime", "psi_prefix", "pi_prefix"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 30, 2000])
+def test_convolution_identities_match_brute_force(tables_10k, limit):
+    report = check_convolution_identities(limit, tables_10k)
+    dev_t, dev_psi = brute_convolution_devs(limit, tables_10k)
+    assert report.max_dev_T == pytest.approx(dev_t, abs=1e-9)
+    assert report.max_dev_psi == pytest.approx(dev_psi, abs=1e-9)
+
+
+def test_convolution_identities_catch_a_wrong_lambda(tables_10k):
+    lam = tables_10k.lam.copy()
+    lam[8] = math.log(3)  # Lambda(2^3) is ln 2
+    bad = dataclasses.replace(tables_10k, lam=lam, psi_prefix=np.cumsum(lam))
+    report = check_convolution_identities(2000, bad)
+    dev_t, dev_psi = brute_convolution_devs(2000, bad)
+    assert not report.passed
+    assert report.max_dev_T == pytest.approx(dev_t, abs=1e-9)
+    assert report.max_dev_psi == pytest.approx(dev_psi, abs=1e-9)
 
 
 def test_sieve_lambda_matches_brute_force(tables_10k):

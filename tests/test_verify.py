@@ -1,7 +1,11 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from chebsylv import (
     BUILTINS,
+    log_prefix,
     constant_A,
     select_terms,
     verify_V_identities,
@@ -10,6 +14,47 @@ from chebsylv import (
     verify_psi_pi,
     verify_selection_bounds,
 )
+
+
+def brute_v_devs(s, x_max, tables, profile) -> np.ndarray:
+    """|sum_k nu(k) T(x/k) - sum_k E(x/k) Lambda(k)| at x = 1..x_max, O(x_max^2)."""
+    t = log_prefix(x_max)
+    ks = np.arange(1, x_max + 1)
+    lhs = np.zeros(x_max)
+    for k, w in s.terms:
+        lhs += w * t[ks // k]
+    return np.array(
+        [
+            abs(lhs[x - 1] - float(np.dot(tables.lam[1 : x + 1], profile.values_at(x // ks[:x]))))
+            for x in range(1, x_max + 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_v_identities_match_brute_force(tables_10k, profiles, name):
+    for x_max in (1, 2, 3, 30, 2000):
+        report = verify_V_identities(BUILTINS[name], x_max, tables_10k, profiles[name])
+        devs = brute_v_devs(BUILTINS[name], x_max, tables_10k, profiles[name])
+        assert report.max_violation == pytest.approx(devs.max(), abs=1e-9), x_max
+        assert report.passed
+
+
+# One E value off by one, at the wrap-around slot E(P) for cheb and at E(1)
+# for nu4. Both give a deviation whose maximum over x <= 2000 is attained at
+# a single x, so the witness is not decided by round-off.
+@pytest.mark.parametrize("name, slot", [("cheb", -1), ("nu4", 0)])
+def test_v_identities_catch_a_wrong_e_value(tables_10k, profiles, name, slot):
+    values = profiles[name].values.copy()
+    values[slot] += 1
+    bad = dataclasses.replace(profiles[name], values=values)
+    report = verify_V_identities(BUILTINS[name], 2000, tables_10k, bad)
+    devs = brute_v_devs(BUILTINS[name], 2000, tables_10k, bad)
+    runner_up, worst = np.sort(devs)[-2:]
+    assert worst - runner_up > 1.0
+    assert not report.passed
+    assert report.max_violation == pytest.approx(worst, abs=1e-9)
+    assert report.witness_x == int(devs.argmax()) + 1
 
 
 def test_v_identities_small_schemes(tables_10k, profiles):
