@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -36,16 +37,9 @@ from .selection import (
     selection_rows,
     selection_step_function,
 )
-from .iteration import (
-    IterationError,
-    build_recurrence,
-    fixed_point,
-    hybrid_recurrence,
-    iterate,
-)
+from .iteration import IterationError, build_recurrence, fixed_point, iterate
 from .sweep import SweepRow, optimize_rho, sweep_rho
 from .verify import (
-    VerificationReport,
     verify_V_identities,
     verify_asymptotic_A,
     verify_final_bounds,
@@ -127,18 +121,6 @@ def _sweep_row_payload(row: SweepRow) -> dict:
     }
 
 
-def _report_payload(rep: VerificationReport) -> dict:
-    return {
-        "name": rep.name,
-        "x_min": rep.x_min,
-        "x_max": rep.x_max,
-        "max_violation": rep.max_violation,
-        "passed": rep.passed,
-        "witness_x": rep.witness_x,
-        "extras": rep.extras,
-    }
-
-
 def _cmd_analyze(args) -> int:
     s = resolve_scheme(args.scheme)
     if cancellation_check(s) != 0:
@@ -147,7 +129,6 @@ def _cmd_analyze(args) -> int:
             f"(sum nu(n)/n = {cancellation_check(s)})"
         )
     p = e_profile(s)
-    bb = base_bounds(s, p)
     _emit(
         {
             "name": s.name,
@@ -157,12 +138,7 @@ def _cmd_analyze(args) -> int:
             "M": p.m,
             "e_min": p.e_min,
             "e_max": p.e_max,
-            "A": bb.A,
-            "A_prime": bb.A_prime,
-            "B": bb.B,
-            "b_factor": bb.b_factor,
-            "a_prime_factor": bb.a_prime_factor,
-            "lower_applicable": bb.lower_applicable,
+            **asdict(base_bounds(s, p)),
         }
     )
     return 0
@@ -192,18 +168,7 @@ def _cmd_eprofile(args) -> int:
 
 def _cmd_base_bounds(args) -> int:
     s = resolve_scheme(args.scheme)
-    bb = base_bounds(s)
-    _emit(
-        {
-            "scheme": render_scheme(s),
-            "A": bb.A,
-            "B": bb.B,
-            "A_prime": bb.A_prime,
-            "b_factor": bb.b_factor,
-            "a_prime_factor": bb.a_prime_factor,
-            "lower_applicable": bb.lower_applicable,
-        }
-    )
+    _emit({"scheme": render_scheme(s), **asdict(base_bounds(s))})
     return 0
 
 
@@ -236,10 +201,12 @@ def _cmd_iterate(args) -> int:
         lower = select_terms(
             p2, "lower", args.rho, max_index=args.hybrid_max_index, exclude=exclude
         )
-        rec = hybrid_recurrence(upper, A, lower, constant_A(s2), p2.n)
+        rec = build_recurrence(lower, upper, constant_A(s2), p2.n, upper_A=A)
+        provenance = f"hybrid:rho_upper={upper.rho},rho_lower={lower.rho}"
     else:
         lower = select_terms(p, "lower", args.rho, exclude=exclude)
         rec = build_recurrence(lower, upper, A, p.n)
+        provenance = f"rho_lower={lower.rho},rho_upper={upper.rho}"
     result = fixed_point(rec)
     payload = {
         "scheme": render_scheme(s),
@@ -253,11 +220,11 @@ def _cmd_iterate(args) -> int:
         "converges": result.converges,
         "n_lower_terms": lower.n_terms,
         "n_upper_terms": upper.n_terms,
-        "provenance": rec.provenance,
+        "provenance": provenance,
     }
     if args.steps is not None:
         a0 = args.a0 if args.a0 is not None else A
-        b0 = args.b0 if args.b0 is not None else float(rec.c2)
+        b0 = args.b0 if args.b0 is not None else rec.c2
         trace = iterate(rec, a0, b0, args.steps)
         payload["trace"] = [{"i": i, "a": a, "b": b} for i, a, b in trace]
         if args.csv:
@@ -269,30 +236,11 @@ def _cmd_iterate(args) -> int:
 def _cmd_sweep(args) -> int:
     s = resolve_scheme(args.scheme)
     exclude = _parse_excludes(args.exclude)
-    rows = sweep_rho(s, args.rho_min, args.rho_max, args.step, exclude)
+    sweep = sweep_rho(s, args.rho_min, args.rho_max, args.step, exclude)
+    rows = [_sweep_row_payload(r) for r in sweep]
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["rho", "a", "b", "ratio", "lambda1", "lambda2", "n_lower", "n_upper", "converges"],
-            (
-                (
-                    r.rho,
-                    r.a_limit,
-                    r.b_limit,
-                    r.ratio,
-                    r.lambda1,
-                    r.lambda2,
-                    r.n_lower_terms,
-                    r.n_upper_terms,
-                    r.converges,
-                )
-                for r in rows
-            ),
-        )
-    payload: dict = {
-        "scheme": render_scheme(s),
-        "rows": [_sweep_row_payload(r) for r in rows],
-    }
+        _write_csv(args.csv, list(rows[0]), (row.values() for row in rows))
+    payload: dict = {"scheme": render_scheme(s), "rows": rows}
     if args.refine:
         opt = optimize_rho(s, args.rho_min, args.rho_max, args.step, exclude=exclude)
         payload["optimum"] = {
@@ -354,7 +302,7 @@ def _cmd_verify(args) -> int:
         rep = verify_psi_pi(args.alpha, ladder, tables)
     else:
         raise SchemeError(f"unknown verify check {args.check!r}")
-    _emit(_report_payload(rep))
+    _emit(asdict(rep))
     return 0 if rep.passed else 1
 
 
@@ -465,7 +413,6 @@ _KNOWN_ERRORS = (
     IterationError,
     CapacityError,
     OutOfRangeError,
-    ValueError,
 )
 
 

@@ -1,11 +1,12 @@
 """Affine bound-refinement recurrence: exact fixed points and convergence.
 
-The pair of term selections induces the affine map
-    a'  =  c1 + m11 a + m12 b
-    b'  =  c2 + m21 a + m22 b
-on bound constants (a, b). Matrix entries are exact rationals; for a
-single-scheme recurrence the fixed point is exact in units of the scheme's
-growth constant A.
+A lower and an upper selection induce the affine map
+    a'  =  upper_A + m11 a + m12 b
+    b'  =  k lower_A + m21 a + m22 b,    k = N/(N-1),
+on bound constants (a, b), where upper_A and lower_A are the growth
+constants of the schemes the two selections come from (equal unless the
+recurrence is a hybrid of two schemes). Matrix entries are exact rationals,
+and the fixed point is exact in units of A when the two constants are equal.
 """
 
 from __future__ import annotations
@@ -28,15 +29,17 @@ class AffineRecurrence:
     m12: Fraction
     m21: Fraction
     m22: Fraction
-    c1: float
-    c2: float
-    n_lower: int
-    A: float | None = None  # set for single-scheme recurrences
-    provenance: str = ""
+    k: Fraction
+    upper_A: float
+    lower_A: float
 
     @property
-    def single_scheme(self) -> bool:
-        return self.A is not None
+    def c1(self) -> float:
+        return self.upper_A
+
+    @property
+    def c2(self) -> float:
+        return float(self.k) * self.lower_A
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,20 @@ class IterationResult:
     b_limit: float
     eigenvalues: tuple[complex, complex]
     converges: bool
-    trace: list[tuple[int, float, float]] | None = None
 
 
 def build_recurrence(
-    lower: TermSelection, upper: TermSelection, A: float, N: int
+    lower: TermSelection,
+    upper: TermSelection,
+    A: float,
+    N: int,
+    upper_A: float | None = None,
 ) -> AffineRecurrence:
-    """Single-scheme recurrence from one lower and one upper selection."""
+    """Recurrence from one lower and one upper selection.
+
+    A and N belong to the scheme of the lower selection; upper_A is the
+    growth constant of the upper selection's scheme and defaults to A.
+    """
     if lower.side != "lower" or upper.side != "upper":
         raise IterationError("selection sides do not match their roles")
     if N < 2:
@@ -66,40 +76,9 @@ def build_recurrence(
         m12=-up.coef_b,
         m21=-k * lo.coef_a,
         m22=k * lo.coef_b,
-        c1=A,
-        c2=float(k) * A,
-        n_lower=N,
-        A=A,
-        provenance=f"rho_lower={lower.rho},rho_upper={upper.rho}",
-    )
-
-
-def hybrid_recurrence(
-    upper_sel: TermSelection,
-    upper_A: float,
-    lower_sel: TermSelection,
-    lower_A: float,
-    lower_N: int,
-) -> AffineRecurrence:
-    """a-update from one scheme's upper selection, b-update from another's lower."""
-    if upper_sel.side != "upper" or lower_sel.side != "lower":
-        raise IterationError("selection sides do not match their roles")
-    if lower_N < 2:
-        raise IterationError("lower-scheme N must be >= 2")
-    up = selection_coefficients(upper_sel)
-    lo = selection_coefficients(lower_sel)
-    k = Fraction(lower_N, lower_N - 1)
-    same = upper_A == lower_A
-    return AffineRecurrence(
-        m11=up.coef_a,
-        m12=-up.coef_b,
-        m21=-k * lo.coef_a,
-        m22=k * lo.coef_b,
-        c1=upper_A,
-        c2=float(k) * lower_A,
-        n_lower=lower_N,
-        A=upper_A if same else None,
-        provenance=f"hybrid:rho_upper={upper_sel.rho},rho_lower={lower_sel.rho}",
+        k=k,
+        upper_A=A if upper_A is None else upper_A,
+        lower_A=A,
     )
 
 
@@ -126,32 +105,32 @@ def convergence(rec: AffineRecurrence) -> tuple[tuple[complex, complex], bool]:
 
 
 def fixed_point(rec: AffineRecurrence) -> IterationResult:
-    """Solve (I - M)(a, b) = (c1, c2); exact in units of A when single-scheme."""
+    """Solve (I - M)(a, b) = (upper_A, k lower_A) exactly.
+
+    a and b come out as exact rational combinations of upper_A and lower_A.
+    When the two are equal, alpha and beta are the exact limits in units of A;
+    otherwise they are None and only the float limits are reported.
+    """
     det = (1 - rec.m11) * (1 - rec.m22) - rec.m12 * rec.m21
     if det == 0:
         raise IterationError("I - M is singular: no fixed point")
     eigs, stable = convergence(rec)
-    if rec.single_scheme:
-        k = Fraction(rec.n_lower, rec.n_lower - 1)
-        alpha = ((1 - rec.m22) * 1 + rec.m12 * k) / det
-        beta = (rec.m21 * 1 + (1 - rec.m11) * k) / det
-        assert rec.A is not None
-        return IterationResult(
-            alpha=alpha,
-            beta=beta,
-            a_limit=float(alpha) * rec.A,
-            b_limit=float(beta) * rec.A,
-            eigenvalues=eigs,
-            converges=stable,
-        )
-    fdet = float(det)
-    a = (float(1 - rec.m22) * rec.c1 + float(rec.m12) * rec.c2) / fdet
-    b = (float(rec.m21) * rec.c1 + float(1 - rec.m11) * rec.c2) / fdet
+    # det * (a, b) = adj(I - M) (upper_A, k lower_A), coefficient by coefficient
+    a_up, a_lo = 1 - rec.m22, rec.m12 * rec.k
+    b_up, b_lo = rec.m21, (1 - rec.m11) * rec.k
+    if rec.upper_A == rec.lower_A:
+        alpha, beta = (a_up + a_lo) / det, (b_up + b_lo) / det
+        a_limit, b_limit = float(alpha) * rec.upper_A, float(beta) * rec.upper_A
+    else:  # the float constants taken as exact: one rounding, at the end
+        alpha = beta = None
+        up_A, lo_A = Fraction(rec.upper_A), Fraction(rec.lower_A)
+        a_limit = float((a_up * up_A + a_lo * lo_A) / det)
+        b_limit = float((b_up * up_A + b_lo * lo_A) / det)
     return IterationResult(
-        alpha=None,
-        beta=None,
-        a_limit=a,
-        b_limit=b,
+        alpha=alpha,
+        beta=beta,
+        a_limit=a_limit,
+        b_limit=b_limit,
         eigenvalues=eigs,
         converges=stable,
     )
@@ -162,7 +141,7 @@ def iterate(
 ) -> list[tuple[int, float, float]]:
     """Explicit trace [(i, a_i, b_i)] for i = 0..steps."""
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise IterationError("steps must be >= 0")
     m11, m12 = float(rec.m11), float(rec.m12)
     m21, m22 = float(rec.m21), float(rec.m22)
     a, b = float(a0), float(b0)

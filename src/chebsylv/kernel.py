@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SIEVE_CAP = 10**7
+SIEVE_CAP = 10**7
 
 
 class CapacityError(ValueError):
@@ -21,7 +21,7 @@ class CapacityError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Query argument exceeds the sieve limit."""
+    """An argument lies outside its valid range (e.g. beyond the sieve limit)."""
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,12 @@ class SieveTables:
     pi_prefix: np.ndarray
 
 
-def build_sieve(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> SieveTables:
+def build_sieve(limit: int) -> SieveTables:
     """Sieve Lambda, mu, primality up to limit and attach prefix sums."""
     if limit < 1:
         raise CapacityError("sieve limit must be >= 1")
-    if limit > cap:
-        raise CapacityError(f"sieve limit {limit} exceeds cap {cap}")
+    if limit > SIEVE_CAP:
+        raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
 
     root = math.isqrt(limit)
     is_prime = np.ones(limit + 1, dtype=bool)
@@ -224,9 +224,9 @@ class PsiPiBracket:
 def psi_pi_bracket(x: float, alpha: float, tables: SieveTables) -> PsiPiBracket:
     """Evaluate psi(x) <= pi(x) ln x <= psi(x)/alpha + x^alpha ln x."""
     if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+        raise OutOfRangeError("alpha must be in (0, 1)")
     if x <= 1:
-        raise ValueError("x must exceed 1")
+        raise OutOfRangeError("x must exceed 1")
     psi_v = psi(x, tables)
     mid = pi_count(x, tables) * math.log(x)
     upper = psi_v / alpha + x**alpha * math.log(x)

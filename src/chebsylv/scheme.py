@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernel import CapacityError
 
-DEFAULT_PERIOD_CAP = 10**6
+PERIOD_CAP = 10**6
 
 
 class SchemeError(ValueError):
@@ -126,13 +126,13 @@ class EProfile:
         return self.values[(xs - 1) % self.period]
 
 
-def e_profile(s: Scheme, period_cap: int = DEFAULT_PERIOD_CAP) -> EProfile:
+def e_profile(s: Scheme) -> EProfile:
     """Compute E over one full period; requires the cancellation condition."""
     if cancellation_check(s) != 0:
         raise SchemeError("scheme does not satisfy the cancellation condition; E is not periodic")
     period = math.lcm(*s.support)
-    if period > period_cap:
-        raise CapacityError(f"period {period} exceeds cap {period_cap}")
+    if period > PERIOD_CAP:
+        raise CapacityError(f"period {period} exceeds cap {PERIOD_CAP}")
 
     xs = np.arange(1, period + 1, dtype=np.int64)
     values = np.zeros(period, dtype=np.int64)

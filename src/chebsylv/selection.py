@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernel import CapacityError
+from .kernel import CapacityError, OutOfRangeError
 from .scheme import EProfile
 
 # Periods matched while waiting for three periods to replay one another;
@@ -35,12 +35,6 @@ class SelectionError(RuntimeError):
 
 class DominationError(RuntimeError):
     """A selection's step function failed to dominate E (selection bug)."""
-
-
-@dataclass(frozen=True)
-class UnitJump:
-    position: int
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -67,24 +61,6 @@ class TermSelection:
         """psi-term count of the induced bound (leading block included)."""
         base = 2 if self.side == "lower" else 1
         return base + 2 * len(self.kept_pairs) + len(self.standalones)
-
-
-def jump_stream(profile: EProfile, up_to: int) -> list[UnitJump]:
-    """Unit jumps at positions 1..up_to, periodic extension, multiplicities expanded."""
-    if up_to < 1:
-        raise ValueError("up_to must be >= 1")
-    out: list[UnitJump] = []
-    p = profile.period
-    base = 0
-    while base < up_to:
-        for pos, delta in profile.jumps:
-            at = base + pos
-            if at > up_to:
-                break
-            sign = 1 if delta > 0 else -1
-            out.extend(UnitJump(at, sign) for _ in range(abs(delta)))
-        base += p
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +159,7 @@ def _select(
     have ratio <= rho; a pair with ratio exactly rho is kept.
     """
     if rho <= 1:
-        raise ValueError("rho must exceed 1")
+        raise OutOfRangeError("rho must exceed 1")
     period, (bm, bn), (pm, pn) = pattern.period, pattern.block.T, pattern.prefix.T
     # closed form: (n + kP)/(m + kP) >= rho  <=>  k <= (n - rho m) / ((rho - 1) P)
     reach = (bn - rho * bm) / ((rho - 1) * period)
@@ -222,6 +198,18 @@ def _select(
     )
 
 
+def _pair_terms(pairs: tuple[tuple[int, int], ...], opens: int) -> list[tuple[int, int]]:
+    return [t for m, n in pairs for t in ((m, opens), (n, -opens))]
+
+
+def bound_terms(sel: TermSelection) -> list[tuple[int, int]]:
+    """(k, sign) of every psi(x/k) term of the side's bound, in the order:
+    leading block, kept pairs (m then n), standalones."""
+    opens = 1 if sel.side == "lower" else -1
+    leading = [(1, 1), (sel.leading_n, -1)] if sel.side == "lower" else [(1, 1)]
+    return leading + _pair_terms(sel.kept_pairs, opens) + [(u, -opens) for u in sel.standalones]
+
+
 @dataclass(frozen=True)
 class DominationReport:
     side: str
@@ -230,7 +218,6 @@ class DominationReport:
     witness_x: int | None
     tail: int
     tail_ok: bool
-    samples: np.ndarray
 
 
 def selection_step_function(
@@ -244,36 +231,17 @@ def selection_step_function(
     Raises DominationError on failure unless strict=False.
     """
     hi = 2 * sel.scan_end
-    deltas = np.zeros(hi + 2, dtype=np.int64)
-
-    def add(pos: int, w: int) -> None:
-        if pos <= hi:
-            deltas[pos] += w
-
-    add(1, 1)
-    if sel.side == "lower":
-        assert sel.leading_n is not None
-        add(sel.leading_n, -1)
-        for m, n in sel.kept_pairs:
-            add(m, 1)
-            add(n, -1)
-        for u in sel.standalones:
-            add(u, -1)
-        tail = -len(sel.standalones)
-        tail_ok = tail <= profile.e_min
-    else:
-        for v in sel.standalones:
-            add(v, 1)
-        for m, n in sel.kept_pairs:
-            add(m, -1)
-            add(n, 1)
-        tail = 1 + len(sel.standalones)
-        tail_ok = tail >= profile.e_max
-
-    samples = np.cumsum(deltas[1 : hi + 1])
+    k, sign = np.array(bound_terms(sel), dtype=np.int64).T
+    deltas = np.zeros(hi + 1, dtype=np.int64)
+    np.add.at(deltas, k, sign)  # every term sits at k <= scan_end
+    tail = int(sign.sum())
+    step = np.cumsum(deltas[1:])
     xs = np.arange(1, hi + 1)
     e_vals = profile.values_at(xs)
-    gap = e_vals - samples if sel.side == "lower" else samples - e_vals
+    if sel.side == "lower":
+        gap, tail_ok = e_vals - step, tail <= profile.e_min
+    else:
+        gap, tail_ok = step - e_vals, tail >= profile.e_max
     worst = int(gap.min())
     ok = worst >= 0 and tail_ok
     witness = int(xs[int(gap.argmin())]) if worst < 0 else None
@@ -284,7 +252,6 @@ def selection_step_function(
         witness_x=witness,
         tail=tail,
         tail_ok=tail_ok,
-        samples=samples,
     )
     if strict and not ok:
         raise DominationError(
@@ -310,16 +277,11 @@ def selection_coefficients(sel: TermSelection) -> SelectionCoefficients:
 
 def selection_rows(sel: TermSelection) -> list[tuple[int, int, str]]:
     """(position, sign, status) rows for CSV export."""
-    open_sign = 1 if sel.side == "lower" else -1
-    rows: list[tuple[int, int, str]] = [(1, 1, "leading")]
-    if sel.side == "lower" and sel.leading_n is not None:
-        rows.append((sel.leading_n, -1, "leading"))
-    for m, n in sel.kept_pairs:
-        rows.append((m, open_sign, "kept"))
-        rows.append((n, -open_sign, "kept"))
-    for m, n in sel.dropped_pairs:
-        rows.append((m, open_sign, "dropped"))
-        rows.append((n, -open_sign, "dropped"))
-    for u in sel.standalones:
-        rows.append((u, -open_sign, "standalone"))
-    return sorted(rows)
+    lead = 2 if sel.side == "lower" else 1
+    status = (
+        ["leading"] * lead + ["kept"] * (2 * len(sel.kept_pairs))
+        + ["standalone"] * len(sel.standalones)
+    )
+    rows = [(k, sign, st) for (k, sign), st in zip(bound_terms(sel), status)]
+    dropped = _pair_terms(sel.dropped_pairs, 1 if sel.side == "lower" else -1)
+    return sorted(rows + [(k, sign, "dropped") for k, sign in dropped])

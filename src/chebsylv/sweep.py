@@ -12,7 +12,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .iteration import build_recurrence, fixed_point
+from .iteration import IterationError, build_recurrence, fixed_point
+from .kernel import OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
 from .selection import _select, pair_pattern
 
@@ -72,7 +73,7 @@ def _row_maker(
 
 def _grid(rho_min: float, rho_max: float, step: float) -> list[float]:
     if not (1 < rho_min < rho_max) or step <= 0:
-        raise ValueError("require 1 < rho_min < rho_max and step > 0")
+        raise OutOfRangeError("require 1 < rho_min < rho_max and step > 0")
     count = int(math.floor((rho_max - rho_min) / step + 1e-9)) + 1
     return [rho_min + i * step for i in range(count)]
 
@@ -110,7 +111,7 @@ def optimize_rho(
     make_row = _row_maker(s, rho_min, exclude)
     usable = [r for r in map(make_row, grid) if r.converges and r.a_limit > 0]
     if not usable:
-        raise ValueError("no converging grid point in the sweep range")
+        raise IterationError("no converging grid point in the sweep range")
 
     def refine(best: SweepRow, key) -> SweepRow:
         step = coarse_step

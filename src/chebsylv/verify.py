@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (
+    OutOfRangeError,
     SieveTables,
     build_sieve,
     dirichlet_convolution,
@@ -18,6 +19,9 @@ from .kernel import (
 )
 from .scheme import Scheme, EProfile, e_profile, constant_A
 from .selection import TermSelection
+
+# Float tolerance of the V-identity and selection-bound checks.
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,24 +48,24 @@ def verify_V_identities(
     x_max: int,
     tables: SieveTables | None = None,
     profile: EProfile | None = None,
-    tol: float = 1e-6,
 ) -> VerificationReport:
     """Check sum_k nu(k) T(x/k) == sum_k E(x/k) Lambda(k) for all x <= x_max.
 
     Differenced in x, the two sides are sum_{k|n} nu(k) ln(n/k) and
     (Lambda * dE)(n) with dE(m) = E(m) - E(m-1), E(0) = 0; the deviation at x
     is accumulated from their per-n differences. Measured max deviation over
-    the nine built-ins, against the default tol of 1e-6: 8.6e-13 at x_max
-    10^4, 1.1e-11 at 10^5, 7.0e-11 at 10^6 and 7.5e-10 at 10^7 (x86-64,
-    numpy 2.4).
+    the nine built-ins, against TOL = 1e-6: 8.6e-13 at x_max 10^4, 1.1e-11
+    at 10^5, 7.0e-11 at 10^6 and 7.5e-10 at 10^7 (x86-64, numpy 2.4).
     """
     if tables is None or tables.limit < x_max:
         tables = build_sieve(x_max)
     if profile is None:
         profile = e_profile(s)
-    e = profile.values_at(np.arange(1, x_max + 1))
-    de = np.zeros(x_max + 1, dtype=np.float64)
-    de[1:] = np.diff(e, prepend=0)
+    # dE(x) depends on x mod the period except at x = 1, where E(0) = 0:
+    # tile one period of it, rolled so that index 0 holds x = 0 mod period
+    step = np.diff(profile.values, prepend=profile.values[-1]).astype(np.float64)
+    de = np.resize(np.roll(step, 1), x_max + 1)
+    de[0], de[1] = 0.0, profile.values[0]
     diff = -dirichlet_convolution(tables.lam[: x_max + 1], de)
     logs = log_table(x_max)
     for k, w in s.terms:
@@ -72,8 +76,8 @@ def verify_V_identities(
         x_min=1,
         x_max=x_max,
         max_violation=max_dev,
-        passed=max_dev <= tol,
-        witness_x=witness if max_dev > tol else None,
+        passed=max_dev <= TOL,
+        witness_x=witness if max_dev > TOL else None,
     )
 
 
@@ -83,7 +87,6 @@ def verify_selection_bounds(
     upper: TermSelection,
     x_max: int,
     tables: SieveTables | None = None,
-    tol: float = 1e-6,
 ) -> VerificationReport:
     """Check lower-sum <= V(x) <= upper-sum for all integer x <= x_max."""
     if tables is None or tables.limit < x_max:
@@ -108,26 +111,23 @@ def verify_selection_bounds(
 
     viol = np.maximum(low - v, v - up)
     worst = float(viol.max())
-    witness = int(xs[int(viol.argmax())]) if worst > tol else None
+    witness = int(xs[int(viol.argmax())]) if worst > TOL else None
     return VerificationReport(
         name=f"selection-bounds[{s.name or 'scheme'}@rho={lower.rho}]",
         x_min=1,
         x_max=x_max,
         max_violation=max(0.0, worst),
-        passed=worst <= tol,
+        passed=worst <= TOL,
         witness_x=witness,
     )
 
 
-def verify_asymptotic_A(
-    s: Scheme, xs: list[int], t: np.ndarray | None = None
-) -> VerificationReport:
+def verify_asymptotic_A(s: Scheme, xs: list[int]) -> VerificationReport:
     """Check |V(x) - A x| / ln x stays bounded along a geometric ladder."""
     xs = sorted(x for x in xs if x >= 2)
     if len(xs) < 2:
-        raise ValueError("need at least two ladder points >= 2")
-    if t is None or len(t) <= xs[-1]:
-        t = log_prefix(xs[-1])
+        raise OutOfRangeError("need at least two ladder points >= 2")
+    t = log_prefix(xs[-1])
     arr = np.asarray(xs, dtype=np.int64)
     v = _v_from_scheme(s, arr, t)
     a = constant_A(s)
@@ -153,7 +153,9 @@ def verify_final_bounds(
     x_max / 10 (the empirical constants stabilize instead of growing).
     """
     if a >= b:
-        raise ValueError("require a < b")
+        raise OutOfRangeError("require a < b")
+    if x_max < 100:
+        raise OutOfRangeError("x_max must be >= 100")
     if tables is None or tables.limit < x_max:
         tables = build_sieve(x_max)
     xs = np.arange(100, x_max + 1)

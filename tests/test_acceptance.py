@@ -11,7 +11,6 @@ from chebsylv import (
     check_convolution_identities,
     constant_A,
     fixed_point,
-    hybrid_recurrence,
     lcm_identity_check,
     optimize_rho,
     select_terms,
@@ -166,12 +165,12 @@ def test_criterion_05_iterated_limits(profiles):
     up7 = select_terms(profiles["nu7"], "upper", 1.1)
     lo6 = select_terms(profiles["nu6"], "lower", 1.1)
     hyb = fixed_point(
-        hybrid_recurrence(
-            up7,
-            constant_A(BUILTINS["nu7"]),
+        build_recurrence(
             lo6,
+            up7,
             constant_A(BUILTINS["nu6"]),
             profiles["nu6"].n,
+            upper_A=constant_A(BUILTINS["nu7"]),
         )
     )
     assert hyb.a_limit == pytest.approx(0.946197, abs=5e-4)
@@ -179,7 +178,7 @@ def test_criterion_05_iterated_limits(profiles):
 
     lo7t = select_terms(profiles["nu7"], "lower", 1.1, max_index=616)
     a7 = constant_A(BUILTINS["nu7"])
-    trunc = fixed_point(hybrid_recurrence(up7, a7, lo7t, a7, profiles["nu7"].n))
+    trunc = fixed_point(build_recurrence(lo7t, up7, a7, profiles["nu7"].n, upper_A=a7))
     assert trunc.b_limit == pytest.approx(1.054239, abs=5e-3)
 
     # nu4 at rho = 1.3 (see README.md, "Tests"):

@@ -226,3 +226,34 @@ def test_floats_have_12_significant_digits(capsys):
     _, out, _ = run_cli(capsys, "analyze", "cheb")
     data = json.loads(out)
     assert data["A"] == float(f"{data['A']:.12g}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "select nu1 --rho 1 --side lower",
+        "sweep nu4 --rho-min 1.5 --rho-max 1.2",
+        "sweep nu4 --rho-min 1.1 --rho-max 1.5 --step 0",
+        "sweep nu1 --rho-min 1.05 --rho-max 1.25 --step 0.05 --refine",
+        "iterate nu4 --rho 1.5 --steps -1",
+        "verify final-bounds --a 1.2 --b 1.1 --limit 1000",
+        "verify final-bounds --limit 50",
+        "verify psi-pi --alpha 1.5 --limit 1000",
+        "verify psi-pi --limit 1",
+        "verify asymptotic --scheme cheb --limit 150",
+    ],
+)
+def test_bad_user_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("chebsylv: error")
+
+
+def test_bare_value_error_propagates(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr("chebsylv.cli.e_profile", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["eprofile", "cheb"])

@@ -9,7 +9,6 @@ from chebsylv import (
     constant_A,
     convergence,
     fixed_point,
-    hybrid_recurrence,
     iterate,
     select_terms,
 )
@@ -85,7 +84,7 @@ def test_hybrid_same_scheme_reduces_to_single(profiles):
     lower = select_terms(p, "lower", 1.5)
     upper = select_terms(p, "upper", 1.5)
     single = fixed_point(build_recurrence(lower, upper, a_const, p.n))
-    hybrid = fixed_point(hybrid_recurrence(upper, a_const, lower, a_const, p.n))
+    hybrid = fixed_point(build_recurrence(lower, upper, a_const, p.n, upper_A=a_const))
     assert hybrid.alpha == single.alpha
     assert hybrid.beta == single.beta
 
@@ -93,14 +92,14 @@ def test_hybrid_same_scheme_reduces_to_single(profiles):
 def test_true_hybrid_has_no_exact_rationals(profiles):
     up7 = select_terms(profiles["nu7"], "upper", 1.1)
     lo6 = select_terms(profiles["nu6"], "lower", 1.1)
-    rec = hybrid_recurrence(
-        up7,
-        constant_A(BUILTINS["nu7"]),
+    rec = build_recurrence(
         lo6,
+        up7,
         constant_A(BUILTINS["nu6"]),
         profiles["nu6"].n,
+        upper_A=constant_A(BUILTINS["nu7"]),
     )
-    assert not rec.single_scheme
+    assert rec.upper_A != rec.lower_A
     result = fixed_point(rec)
     assert result.alpha is None and result.beta is None
     assert 0.9 < result.a_limit < result.b_limit < 1.1
@@ -113,7 +112,7 @@ def test_side_mismatch_rejected(profiles):
     with pytest.raises(IterationError):
         build_recurrence(upper, lower, 1.0, p.n)
     with pytest.raises(IterationError):
-        hybrid_recurrence(lower, 1.0, upper, 1.0, p.n)
+        build_recurrence(upper, lower, 1.0, p.n, upper_A=1.0)
 
 
 def test_iterate_rejects_negative_steps(profiles):

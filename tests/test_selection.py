@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from chebsylv import (
     BUILTINS,
     CapacityError,
     DominationError,
+    EProfile,
     e_profile,
-    jump_stream,
     select_terms,
     selection_coefficients,
     selection_rows,
@@ -14,6 +16,30 @@ from chebsylv import (
 )
 from chebsylv.selection import pair_pattern
 from fractions import Fraction
+
+
+@dataclass(frozen=True)
+class UnitJump:
+    position: int
+    sign: int
+
+
+def jump_stream(profile: EProfile, up_to: int) -> list[UnitJump]:
+    """Unit jumps at positions 1..up_to, periodic extension, multiplicities expanded."""
+    if up_to < 1:
+        raise ValueError("up_to must be >= 1")
+    out: list[UnitJump] = []
+    p = profile.period
+    base = 0
+    while base < up_to:
+        for pos, delta in profile.jumps:
+            at = base + pos
+            if at > up_to:
+                break
+            sign = 1 if delta > 0 else -1
+            out.extend(UnitJump(at, sign) for _ in range(abs(delta)))
+        base += p
+    return out
 
 
 def test_jump_stream_matches_E_differences(profiles):
