@@ -53,9 +53,9 @@ def build_sieve(limit: int) -> SieveTables:
     lam = np.zeros(limit + 1, dtype=np.float64)
     moebius = np.ones(limit + 1, dtype=np.int8)
     moebius[0] = 0
-    # n divided once by each prime p <= root that divides it; what is left
-    # above 1 is a single prime > root.
-    cofactor = np.arange(limit + 1, dtype=np.int32)
+    # the product of the primes p <= root that divide n: where it differs
+    # from n, n has a square factor (mu is 0 already) or one prime > root
+    rad = np.ones(limit + 1, dtype=np.int32)
     for p in range(2, root + 1):
         if not is_prime[p]:
             continue
@@ -65,11 +65,11 @@ def build_sieve(limit: int) -> SieveTables:
         while pk <= limit:
             lam[pk] = logp
             pk *= p
-        cofactor[p::p] //= p
+        rad[p::p] *= p
         moebius[p::p] *= -1
         moebius[p * p :: p * p] = 0
-    moebius[cofactor > 1] *= -1
-    del cofactor
+    moebius[rad != np.arange(limit + 1, dtype=np.int32)] *= -1
+    del rad
     primes = np.flatnonzero(is_prime)
     # math.log, not np.log: the two differ in the last bit at some primes.
     lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)

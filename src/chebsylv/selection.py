@@ -158,8 +158,8 @@ def _select(
     Scans whole periods up to the first steady-shifted period whose pairs all
     have ratio <= rho; a pair with ratio exactly rho is kept.
     """
-    if rho <= 1:
-        raise OutOfRangeError("rho must exceed 1")
+    if not 1 < rho < float("inf"):  # NaN fails both comparisons
+        raise OutOfRangeError("rho must be finite and exceed 1")
     period, (bm, bn), (pm, pn) = pattern.period, pattern.block.T, pattern.prefix.T
     # closed form: (n + kP)/(m + kP) >= rho  <=>  k <= (n - rho m) / ((rho - 1) P)
     reach = (bn - rho * bm) / ((rho - 1) * period)

@@ -173,6 +173,15 @@ def test_verify_identity_checks_reach_one_million(capsys, argv):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_selection_reaches_one_million(capsys):
+    # nu8 at rho = 1.02: 237 lower and 266 upper psi-terms
+    code, out, _ = run_cli(
+        capsys, "verify", "selection", "--scheme", "nu8", "--rho", "1.02", "--limit", "1000000"
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_lcm(capsys):
     code, out, _ = run_cli(capsys, "verify", "lcm")
     assert code == 0
@@ -232,8 +241,13 @@ def test_floats_have_12_significant_digits(capsys):
     "argv",
     [
         "select nu1 --rho 1 --side lower",
+        "select nu4 --rho nan --side lower",
+        "iterate nu4 --rho inf",
+        "verify selection --scheme cheb --rho nan",
         "sweep nu4 --rho-min 1.5 --rho-max 1.2",
         "sweep nu4 --rho-min 1.1 --rho-max 1.5 --step 0",
+        "sweep nu4 --rho-min 1.1 --rho-max inf --step 0.1",
+        "sweep nu4 --rho-min 1.1 --rho-max 1.5 --step 1e-300",
         "sweep nu1 --rho-min 1.05 --rho-max 1.25 --step 0.05 --refine",
         "iterate nu4 --rho 1.5 --steps -1",
         "verify final-bounds --a 1.2 --b 1.1 --limit 1000",

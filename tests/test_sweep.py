@@ -4,6 +4,8 @@ import pytest
 
 from chebsylv import (
     BUILTINS,
+    CapacityError,
+    OutOfRangeError,
     build_recurrence,
     constant_A,
     e_profile,
@@ -12,6 +14,7 @@ from chebsylv import (
     select_terms,
     sweep_rho,
 )
+from chebsylv.sweep import MAX_GRID_POINTS
 
 
 def test_sweep_grid_size_and_order():
@@ -53,6 +56,33 @@ def test_sweep_input_validation():
         sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 0.0)
     with pytest.raises(ValueError):
         sweep_rho(BUILTINS["nu4"], 0.9, 1.5, 0.01)
+
+
+@pytest.mark.parametrize(
+    "rho_min, rho_max, step",
+    [
+        (1.1, math.inf, 0.1),
+        (1.1, math.nan, 0.1),
+        (math.nan, 1.5, 0.1),
+        (1.1, 1.5, math.nan),
+        (1.1, 1.5, math.inf),
+    ],
+)
+def test_sweep_rejects_non_finite_grid(rho_min, rho_max, step):
+    with pytest.raises(OutOfRangeError):
+        sweep_rho(BUILTINS["nu4"], rho_min, rho_max, step)
+
+
+def test_sweep_grid_point_cap():
+    # 4e299 points: refused from the count, before any list is built
+    with pytest.raises(CapacityError, match="grid points"):
+        sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 1e-300)
+    with pytest.raises(CapacityError):  # the point count overflows to inf
+        sweep_rho(BUILTINS["nu4"], 1.1, 1e308, 1e-300)
+    with pytest.raises(CapacityError):
+        optimize_rho(BUILTINS["nu4"], 1.1, 1.5, 0.4 / MAX_GRID_POINTS)
+    rows = sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 0.4 / (MAX_GRID_POINTS - 1))
+    assert len(rows) == MAX_GRID_POINTS
 
 
 def test_optimize_cheb_matches_published_optimum():

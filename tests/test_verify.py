@@ -31,6 +31,27 @@ def brute_v_devs(s, x_max, tables, profile) -> np.ndarray:
     )
 
 
+def brute_selection_gaps(s, lower, upper, x_max, tables) -> np.ndarray:
+    """max(lower - V, V - upper) at x = 1..x_max, one gather of psi(x/k) per term."""
+    t = log_prefix(x_max)
+    psi_p = tables.psi_prefix
+    xs = np.arange(1, x_max + 1)
+    v = np.zeros(x_max)
+    for k, w in s.terms:
+        v += w * t[xs // k]
+    low = psi_p[xs] - psi_p[xs // lower.leading_n]
+    for m, n in lower.kept_pairs:
+        low += psi_p[xs // m] - psi_p[xs // n]
+    for u in lower.standalones:
+        low -= psi_p[xs // u]
+    up = psi_p[xs].copy()
+    for u in upper.standalones:
+        up += psi_p[xs // u]
+    for m, n in upper.kept_pairs:
+        up -= psi_p[xs // m] - psi_p[xs // n]
+    return np.maximum(low - v, v - up)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_v_identities_match_brute_force(tables_10k, profiles, name):
     for x_max in (1, 2, 3, 30, 2000):
@@ -101,6 +122,47 @@ def test_selection_bounds_detect_violation(tables_10k, profiles):
     assert not report.passed
     assert report.witness_x is not None
     assert report.max_violation > 0
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_selection_bounds_match_brute_force(tables_10k, profiles, name):
+    for rho in (1.05, 1.1, 1.2, 1.5, 2.0):
+        lower = select_terms(profiles[name], "lower", rho)
+        upper = select_terms(profiles[name], "upper", rho)
+        for x_max in (1, 2, 3, 30, 2000):
+            report = verify_selection_bounds(BUILTINS[name], lower, upper, x_max, tables_10k)
+            gaps = brute_selection_gaps(BUILTINS[name], lower, upper, x_max, tables_10k)
+            worst = gaps.max()
+            assert report.passed == (worst <= 1e-6), (rho, x_max)
+            assert report.max_violation == pytest.approx(max(0.0, worst), abs=1e-9), (rho, x_max)
+
+
+def _flip_standalone(sel, u):
+    """sel with the standalone psi(x/u) moved into a pair (u, 10^9), whose
+    psi(x/10^9) is 0 for every x here: the term's sign flips."""
+    rest = tuple(v for v in sel.standalones if v != u)
+    return dataclasses.replace(sel, standalones=rest, kept_pairs=sel.kept_pairs + ((u, 10**9),))
+
+
+# cheb with the lower side's leading -psi(x/N) dropped (N moved past every x),
+# and nu6 with the upper side's standalone +psi(x/u) made -psi(x/u). Both
+# give a maximum over x <= 2000 that is attained at a single x, so the
+# witness is not decided by round-off.
+@pytest.mark.parametrize("name, mutation", [("cheb", "drop-leading"), ("nu6", "flip-standalone")])
+def test_selection_bounds_catch_a_mutated_selection(tables_10k, profiles, name, mutation):
+    lower = select_terms(profiles[name], "lower", 1.2)
+    upper = select_terms(profiles[name], "upper", 1.2)
+    if mutation == "drop-leading":
+        lower = dataclasses.replace(lower, leading_n=10**9)
+    else:
+        upper = _flip_standalone(upper, upper.standalones[0])
+    report = verify_selection_bounds(BUILTINS[name], lower, upper, 2000, tables_10k)
+    gaps = brute_selection_gaps(BUILTINS[name], lower, upper, 2000, tables_10k)
+    runner_up, worst = np.sort(gaps)[-2:]
+    assert worst - runner_up > 0.5
+    assert not report.passed
+    assert report.max_violation == pytest.approx(worst, abs=1e-9)
+    assert report.witness_x == int(gaps.argmax()) + 1
 
 
 def test_asymptotic_A_bounded_ratio():
