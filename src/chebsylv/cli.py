@@ -31,7 +31,6 @@ from .scheme import (
 )
 from .selection import (
     DominationError,
-    SelectionError,
     TermSelection,
     select_terms,
     selection_rows,
@@ -253,10 +252,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# Each verify check's --limit when the flag is absent.
+_VERIFY_LIMITS = {
+    "convolution": 10**4,
+    "lcm": 50,
+    "v-identity": 10**4,
+    "selection": 10**5,
+    "asymptotic": 10**5,
+    "final-bounds": 10**6,
+    "psi-pi": 10**5,
+}
+
+
 def _cmd_verify(args) -> int:
-    limit = args.limit
+    limit = _VERIFY_LIMITS[args.check] if args.limit is None else args.limit
     if args.check == "convolution":
-        rep = check_convolution_identities(limit or 10**4)
+        rep = check_convolution_identities(limit)
         _emit(
             {
                 "name": "convolution",
@@ -268,13 +279,14 @@ def _cmd_verify(args) -> int:
         )
         return 0 if rep.passed else 1
     if args.check == "lcm":
-        x_max = limit or 50
-        failures = [x for x in range(1, x_max + 1) if not lcm_identity_check(x)]
-        _emit({"name": "lcm", "x_max": x_max, "failures": failures, "passed": not failures})
+        if limit < 1:
+            raise OutOfRangeError("lcm needs --limit >= 1")
+        failures = [x for x in range(1, limit + 1) if not lcm_identity_check(x)]
+        _emit({"name": "lcm", "x_max": limit, "failures": failures, "passed": not failures})
         return 0 if not failures else 1
     if args.check == "v-identity":
         s = resolve_scheme(args.scheme or "cheb")
-        rep = verify_V_identities(s, limit or 10**4)
+        rep = verify_V_identities(s, limit)
     elif args.check == "selection":
         s = resolve_scheme(args.scheme or "cheb")
         p = e_profile(s)
@@ -282,26 +294,22 @@ def _cmd_verify(args) -> int:
             s,
             select_terms(p, "lower", args.rho),
             select_terms(p, "upper", args.rho),
-            limit or 10**5,
+            limit,
         )
     elif args.check == "asymptotic":
         s = resolve_scheme(args.scheme or "cheb")
-        x_max = limit or 10**5
         ladder = []
         x = 100
-        while x <= x_max:
+        while x <= limit:
             ladder.append(x)
             x *= 2
         rep = verify_asymptotic_A(s, ladder)
     elif args.check == "final-bounds":
-        rep = verify_final_bounds(args.a, args.b, limit or 10**6)
-    elif args.check == "psi-pi":
-        x_max = limit or 10**5
-        tables = build_sieve(x_max)
-        ladder = [float(x) for x in (100, 1000, 10**4, x_max) if x <= x_max]
+        rep = verify_final_bounds(args.a, args.b, limit)
+    else:  # psi-pi
+        tables = build_sieve(limit)
+        ladder = [float(x) for x in (100, 1000, 10**4, limit) if x <= limit]
         rep = verify_psi_pi(args.alpha, ladder, tables)
-    else:
-        raise SchemeError(f"unknown verify check {args.check!r}")
     _emit(asdict(rep))
     return 0 if rep.passed else 1
 
@@ -380,18 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="empirical checks against the sieve oracle")
-    p_ver.add_argument(
-        "check",
-        choices=(
-            "convolution",
-            "lcm",
-            "v-identity",
-            "selection",
-            "asymptotic",
-            "final-bounds",
-            "psi-pi",
-        ),
-    )
+    p_ver.add_argument("check", choices=tuple(_VERIFY_LIMITS))
     p_ver.add_argument("--limit", type=int, default=None)
     p_ver.add_argument("--scheme", default=None)
     p_ver.add_argument("--rho", type=float, default=1.2)
@@ -408,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _KNOWN_ERRORS = (
     SchemeError,
-    SelectionError,
     DominationError,
     IterationError,
     CapacityError,

@@ -4,9 +4,10 @@ The unit jumps of E are the coefficients of V(x) as a combination of
 psi(x/n). For each side we match opposite-sign unit jumps (each closing jump
 pairs with the most recent open one) and keep unmatched closing jumps as
 standalone terms. The leading block psi(x) - psi(x/N) (lower side) and the
-psi(x) term (upper side) are set aside before matching. The matched pairs
-repeat with the period after a few periods; ``pair_pattern`` records that
-finite pattern and ``select_terms`` keeps a pair (m, n) iff n/m >= rho.
+psi(x) term (upper side) are set aside before matching. From period 4 on,
+the pairs closed in each period are those of the period before, shifted by
+the period; ``pair_pattern`` records that finite pattern and
+``select_terms`` keeps a pair (m, n) iff n/m >= rho.
 """
 
 from __future__ import annotations
@@ -19,18 +20,14 @@ import numpy as np
 from .kernel import CapacityError, OutOfRangeError
 from .scheme import EProfile
 
-# Periods matched while waiting for three periods to replay one another;
-# every built-in scheme replays by period 4 on both sides.
-MAX_STEADY_PERIODS = 8
+# The first period whose pairs repeat the period before, shifted by the
+# period (see pair_pattern); periods 1 to BLOCK_PERIOD - 1 are matched.
+BLOCK_PERIOD = 4
 
 # Pairs one side may keep. As rho -> 1 the kept count grows without bound,
 # and the exact fixed point slows faster than linearly in it (8,300 kept
 # pairs per side take 0.4 s for nu1, 6,200 take 1.6 s for nu8).
 MAX_KEPT_PAIRS = 10_000
-
-
-class SelectionError(RuntimeError):
-    """Matching failed to reach steady state within MAX_STEADY_PERIODS."""
 
 
 class DominationError(RuntimeError):
@@ -67,7 +64,7 @@ class TermSelection:
 class PairPattern:
     """Every matched pair of one side: ``prefix``, then ``block`` shifted by
     k * period for each k >= 0. Arrays hold one (m, n) row per pair in closing
-    order; ``block`` holds the pairs closed in period ``steady_period``."""
+    order; ``block`` holds the pairs closed in period ``BLOCK_PERIOD``."""
 
     side: str
     period: int
@@ -75,15 +72,19 @@ class PairPattern:
     prefix: np.ndarray
     block: np.ndarray
     standalones: tuple[int, ...]
-    steady_period: int
 
 
 def pair_pattern(profile: EProfile, side: str) -> PairPattern:
-    """Stack-match one side's unit jumps period by period until steady.
+    """Stack-match one side's unit jumps over periods 1 to BLOCK_PERIOD - 1.
 
-    Period q (1-based) is steady when it and period q-1 replay their
-    predecessors shifted by the period, neither closes a standalone, and the
-    stack of open jumps has the same size after periods q-2, q-1 and q.
+    The opening jumps are the up-steps of a walk: E - 1 + [x >= N] on the
+    lower side, 1 - E on the upper. From period 2 on the walk is periodic and
+    starts every period at the same level. Since E >= 1 on [1, N) and
+    E(P) = 0, the walk reaches its lowest level in period 1 (and again in
+    every later period), so no standalone closes after period 1. A close
+    pairs with the last open on its own level, which from period 3 on lies in
+    the same period or the one before, so the pairs closed in period q + 1
+    are the period-q pairs shifted by P for every q >= 3.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
@@ -96,15 +97,7 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
     standalones: list[int] = []
-    starts = [0]  # pairs[starts[q-1]:starts[q]] closed in period q
-    alone = [0]  # standalones closed by the end of each period
-    sizes: list[int] = []  # stack size after each period
-
-    def replays(q: int) -> bool:
-        prev = pairs[starts[q - 2] : starts[q - 1]]
-        return pairs[starts[q - 1] : starts[q]] == [(m + period, n + period) for m, n in prev]
-
-    for q in range(1, MAX_STEADY_PERIODS + 1):
+    for q in range(1, BLOCK_PERIOD):
         for x, sign in first if q == 1 else units:
             pos = (q - 1) * period + x
             if (sign > 0) == lower:  # an opening jump
@@ -113,27 +106,16 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
                 pairs.append((stack.pop(), pos))
             else:
                 standalones.append(pos)
-        starts.append(len(pairs))
-        alone.append(len(standalones))
-        sizes.append(len(stack))
-        if (
-            q >= 3
-            and alone[-1] == alone[-3]  # none closed in periods q-1 and q
-            and sizes[-1] == sizes[-2] == sizes[-3]
-            and replays(q)
-            and replays(q - 1)
-        ):
-            arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            return PairPattern(
-                side=side,
-                period=period,
-                leading_n=profile.n if lower else None,
-                prefix=arr[: starts[q - 1]],
-                block=arr[starts[q - 1] :],
-                standalones=tuple(standalones),
-                steady_period=q,
-            )
-    raise SelectionError(f"no steady state within {MAX_STEADY_PERIODS} periods for side={side}")
+    prefix = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    last = prefix[prefix[:, 1] > (BLOCK_PERIOD - 2) * period]  # closed in the last period
+    return PairPattern(
+        side=side,
+        period=period,
+        leading_n=profile.n if lower else None,
+        prefix=prefix,
+        block=last + period,
+        standalones=tuple(standalones),
+    )
 
 
 def select_terms(
@@ -155,8 +137,8 @@ def _select(
 ) -> TermSelection:
     """select_terms on a precomputed pattern.
 
-    Scans whole periods up to the first steady-shifted period whose pairs all
-    have ratio <= rho; a pair with ratio exactly rho is kept.
+    Scans whole periods up to the first one from period BLOCK_PERIOD on whose
+    pairs all have ratio <= rho; a pair with ratio exactly rho is kept.
     """
     if not 1 < rho < float("inf"):  # NaN fails both comparisons
         raise OutOfRangeError("rho must be finite and exceed 1")
@@ -192,7 +174,7 @@ def _select(
         kept_pairs=tuple(zip(m[keep].tolist(), n[keep].tolist())),
         dropped_pairs=tuple(zip(m[~keep].tolist(), n[~keep].tolist())),
         standalones=tuple(u for u in pattern.standalones if max_index is None or u <= max_index),
-        scan_end=(pattern.steady_period + k_end) * period,
+        scan_end=(BLOCK_PERIOD + k_end) * period,
         max_index=max_index,
         excluded=excluded,
     )

@@ -255,6 +255,9 @@ def test_floats_have_12_significant_digits(capsys):
         "verify psi-pi --alpha 1.5 --limit 1000",
         "verify psi-pi --limit 1",
         "verify asymptotic --scheme cheb --limit 150",
+        "verify convolution --limit 0",
+        "verify lcm --limit 0",
+        "verify lcm --limit -3",
     ],
 )
 def test_bad_user_input_exits_2(capsys, argv):

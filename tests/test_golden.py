@@ -1,14 +1,14 @@
 """Golden CLI outputs: the JSON of a fixed command list must not change.
 
-Each command runs in-process through ``chebsylv.cli.main`` and its parsed
-stdout is compared for equality with ``tests/golden/<name>.json``. The list
-covers every subcommand and every built-in scheme.
+Each command runs in-process through ``chebsylv.cli.main`` and its stdout
+is compared byte for byte with ``tests/golden/<name>.json``, so the files are
+exactly what the regeneration script writes. The list covers every subcommand
+and every built-in scheme.
 
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
-import json
 import os
 import sys
 
@@ -57,7 +57,7 @@ def test_cli_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     with open(_golden_path(name)) as fh:
-        assert json.loads(out) == json.load(fh)
+        assert out == fh.read()
 
 
 def _regenerate() -> None:

@@ -14,8 +14,10 @@ from chebsylv import (
     selection_rows,
     selection_step_function,
 )
-from chebsylv.selection import pair_pattern
+from chebsylv.scheme import Scheme
+from chebsylv.selection import BLOCK_PERIOD, _select, pair_pattern
 from fractions import Fraction
+import random
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ def jump_stream(profile: EProfile, up_to: int) -> list[UnitJump]:
             if at > up_to:
                 break
             sign = 1 if delta > 0 else -1
-            out.extend(UnitJump(at, sign) for _ in range(abs(delta)))
+            out.extend([UnitJump(at, sign)] * abs(delta))
         base += p
     return out
 
@@ -209,13 +211,14 @@ def test_scan_end_is_whole_periods(profiles):
         assert sel.scan_end >= 3 * p.period
 
 
-def _brute_force(p, side, rho, scan_end, max_index=None, exclude=()):
-    """Stack-match jump_stream(p, scan_end + 2P) directly and filter by ratio."""
+def _brute_match(p, side, up_to):
+    """Stack-match jump_stream(p, up_to) directly: (pairs in closing order,
+    standalones)."""
     open_sign = 1 if side == "lower" else -1
     leading = [(1, 1)] + ([(p.n, -1)] if side == "lower" else [])
     stack, pairs, alone = [], [], []
-    for j in jump_stream(p, scan_end + 2 * p.period):
-        if (j.position, j.sign) in leading:
+    for j in jump_stream(p, up_to):
+        if leading and (j.position, j.sign) in leading:
             leading.remove((j.position, j.sign))
         elif j.sign == open_sign:
             stack.append(j.position)
@@ -223,13 +226,28 @@ def _brute_force(p, side, rho, scan_end, max_index=None, exclude=()):
             pairs.append((stack.pop(), j.position))
         else:
             alone.append(j.position)
+    return pairs, alone
+
+
+def _brute_force(p, side, rho, scan_end, max_index=None, exclude=()):
+    """Stack-match jump_stream(p, scan_end + 2P) directly and filter by ratio."""
+    pairs, alone = _brute_match(p, side, scan_end + 2 * p.period)
+    return _brute_filter(pairs, alone, rho, scan_end, max_index, exclude)
+
+
+def _brute_filter(pairs, alone, rho, scan_end, max_index=None, exclude=()):
+    """Split a brute-force match up to scan_end into kept and dropped pairs."""
 
     def in_range(x):
         return max_index is None or x <= max_index
 
+    def keep(pr):
+        return pr[1] / pr[0] >= rho and pr not in exclude and in_range(pr[0])
+
+    # a jump of size d > 1 can close the same pair more than once: keep repeats
     scanned = sorted(pr for pr in pairs if pr[1] <= scan_end)
-    kept = [pr for pr in scanned if pr[1] / pr[0] >= rho and pr not in exclude and in_range(pr[0])]
-    dropped = sorted(set(scanned) - set(kept))
+    kept = [pr for pr in scanned if keep(pr)]
+    dropped = [pr for pr in scanned if not keep(pr)]
     return kept, dropped, [u for u in alone if u <= scan_end and in_range(u)], pairs
 
 
@@ -262,15 +280,71 @@ def test_selection_matches_brute_force_matching(profiles, name, side, rho, max_i
     assert list(sel.kept_pairs) == kept
     assert list(sel.dropped_pairs) == dropped
     assert list(sel.standalones) == standalones
-    # no pair past the scan reaches rho; the scan stops at the steady period
+    # no pair past the scan reaches rho; the scan stops at period BLOCK_PERIOD
     # or right after the last period holding a pair above rho
     end, period = sel.scan_end, p.period
     assert end % period == 0
     assert all(n / m < rho for m, n in pairs if n > end)
     assert all(n / m <= rho for m, n in pairs if end - period < n <= end)
-    assert end == pair_pattern(p, side).steady_period * period or any(
+    assert end == BLOCK_PERIOD * period or any(
         n / m > rho for m, n in pairs if end - 2 * period < n <= end - period
     )
+
+
+def _random_cancelling_schemes(count, seed):
+    """Schemes with weights on a few divisors of L in [12, 840], closed by a
+    weight of at most 3 in size at L so that sum nu(k)/k = 0."""
+    rng = random.Random(seed)
+    schemes = set()
+    while len(schemes) < count:
+        big = rng.randint(12, 840)
+        divisors = [d for d in range(2, big) if big % d == 0]
+        weights = {1: 1}
+        for d in rng.sample(divisors, min(len(divisors), rng.randint(1, 5))):
+            weights[d] = rng.choice((-2, -1, -1, 1, 1, 2))
+        closing = -big * sum(Fraction(w, k) for k, w in weights.items())
+        if closing.denominator == 1 and 0 < abs(closing) <= 3:
+            weights[big] = int(closing)
+            schemes.add(tuple(sorted((k, w) for k, w in weights.items() if w)))
+    return [Scheme(terms) for terms in sorted(schemes)]
+
+
+_RANDOM_SCHEMES = _random_cancelling_schemes(200, seed=7)
+
+
+def test_selection_matches_brute_force_on_random_schemes():
+    for s in _RANDOM_SCHEMES:
+        p = e_profile(s)
+        for side in ("lower", "upper"):
+            pattern = pair_pattern(p, side)  # select_terms without re-matching per rho
+            sels = [_select(pattern, rho) for rho in (1.1, 1.5, 2.0)]
+            matched = _brute_match(p, side, max(sel.scan_end for sel in sels))
+            for sel in sels:
+                rho = sel.rho
+                kept, dropped, standalones, _ = _brute_filter(*matched, rho, sel.scan_end)
+                assert list(sel.kept_pairs) == kept, (s.terms, side, rho)
+                assert list(sel.dropped_pairs) == dropped, (s.terms, side, rho)
+                assert list(sel.standalones) == standalones, (s.terms, side, rho)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_pairs_repeat_from_period_three(profiles, side):
+    # what pair_pattern takes without a check: no standalone after period 1,
+    # and every later period closes the period-3 pairs shifted by P
+    cases = list(profiles.items())
+    cases += [(s.terms, e_profile(s)) for s in _RANDOM_SCHEMES[:50]]
+    for name, p in cases:
+        period = p.period
+        pairs, alone = _brute_match(p, side, 8 * period)
+        assert all(u <= period for u in alone), name
+        closed = [[(m, n) for m, n in pairs if q * period < n <= (q + 1) * period] for q in range(8)]
+        for q in range(BLOCK_PERIOD - 1, 8):
+            shift = (q - 2) * period
+            assert closed[q] == [(m + shift, n + shift) for m, n in closed[2]], (name, q + 1)
+        pattern = pair_pattern(p, side)
+        assert pattern.prefix.tolist() == [list(pr) for q in range(3) for pr in closed[q]]
+        assert pattern.block.tolist() == [list(pr) for pr in closed[3]]
+        assert list(pattern.standalones) == alone
 
 
 def test_rho_near_one_exceeds_the_pair_cap(profiles):
