@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebsylv.cli import main
+from chebsylv.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -274,3 +274,46 @@ def test_bare_value_error_propagates(capsys, monkeypatch):
     monkeypatch.setattr("chebsylv.cli.e_profile", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["eprofile", "cheb"])
+
+
+# vars(args) of a minimal command line per subcommand, without the handler:
+# every dest and every default of the parser.
+PARSED = {
+    "analyze cheb": {"command": "analyze", "scheme": "cheb"},
+    "eprofile cheb": {"command": "eprofile", "scheme": "cheb", "csv": None},
+    "base-bounds cheb": {"command": "base-bounds", "scheme": "cheb"},
+    "select cheb --rho 1.2 --side lower": {
+        "command": "select", "scheme": "cheb", "rho": 1.2, "side": "lower",
+        "max_index": None, "exclude": None, "csv": None, "check_domination": False,
+    },
+    "iterate cheb --rho 1.2": {
+        "command": "iterate", "scheme": "cheb", "rho": 1.2, "a0": None, "b0": None,
+        "steps": None, "hybrid_lower": None, "hybrid_max_index": None,
+        "exclude": None, "csv": None,
+    },
+    "sweep cheb": {
+        "command": "sweep", "scheme": "cheb", "rho_min": 1.02, "rho_max": 2.0,
+        "step": 0.005, "refine": False, "exclude": None, "csv": None,
+    },
+    "verify lcm": {
+        "command": "verify", "check": "lcm", "limit": None, "scheme": None,
+        "rho": 1.2, "a": 0.9226, "b": 1.0765, "alpha": 0.75,
+    },
+    "list-schemes": {"command": "list-schemes"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSED))
+def test_parser_dests_and_defaults(argv):
+    args = vars(build_parser().parse_args(argv.split()))
+    assert callable(args.pop("func"))
+    assert args == PARSED[argv]
+
+
+def test_select_failed_domination_exits_0(capsys):
+    code, out, _ = run_cli(
+        capsys, "select", "nu6", "--rho", "1.2", "--side", "upper", "--max-index", "5",
+        "--check-domination",
+    )
+    assert code == 0
+    assert json.loads(out)["domination_ok"] is False

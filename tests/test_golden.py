@@ -31,6 +31,8 @@ COMMANDS = {
     "select_nu1_lower": "select nu1 --rho 1.05 --side lower",
     "iterate_nu4_steps": "iterate nu4 --rho 1.5 --steps 5",
     "iterate_nu7_hybrid": "iterate nu7 --rho 1.1 --hybrid-lower nu6",
+    "iterate_nu4_start": "iterate nu4 --rho 1.5 --steps 3 --a0 0.9 --b0 1.1",
+    "iterate_nu7_hybrid_max_index": "iterate nu7 --rho 1.1 --hybrid-lower nu6 --hybrid-max-index 100",
     "iterate_nu2_exclude": "iterate nu2 --rho 1.25 --exclude 7,9",
     "sweep_cheb_refine": "sweep cheb --rho-min 1.02 --rho-max 2.0 --step 0.005 --refine",
     "sweep_nu5_refine": "sweep nu5 --rho-min 1.05 --rho-max 1.6 --step 0.01 --refine",
