@@ -1,4 +1,8 @@
-"""Command-line surface: JSON to stdout, optional CSV for tabular data."""
+"""Command-line surface: JSON to stdout, optional CSV for tabular data.
+
+Each subcommand handler returns its payload; ``main`` prints it and exits 1
+when the payload carries ``"passed": false``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +20,12 @@ from .kernel import (
     OutOfRangeError,
     build_sieve,
     check_convolution_identities,
-    lcm_identity_check,
+    lcm_identity_failures,
 )
 from .scheme import (
     BUILTINS,
-    Scheme,
     SchemeError,
     base_bounds,
-    cancellation_check,
     constant_A,
     e_profile,
     render_scheme,
@@ -31,13 +33,12 @@ from .scheme import (
 )
 from .selection import (
     DominationError,
-    TermSelection,
     select_terms,
     selection_rows,
     selection_step_function,
 )
 from .iteration import IterationError, build_recurrence, fixed_point, iterate
-from .sweep import SweepRow, optimize_rho, sweep_rho
+from .sweep import optimize_rho, sweep_rho
 from .verify import (
     verify_V_identities,
     verify_asymptotic_A,
@@ -45,6 +46,21 @@ from .verify import (
     verify_psi_pi,
     verify_selection_bounds,
 )
+
+# JSON names of result-dataclass fields that differ from the field names.
+_RENAME = {
+    "leading_n": "leading",
+    "kept_pairs": "pairs",
+    "a_limit": "a",
+    "b_limit": "b",
+    "n_lower_terms": "n_lower",
+    "n_upper_terms": "n_upper",
+}
+
+
+def _fields(obj) -> dict:
+    """A result dataclass's fields under their JSON names; values are not copied."""
+    return {_RENAME.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
 
 
 def _jsonable(value):
@@ -55,6 +71,8 @@ def _jsonable(value):
         return _jsonable(value.item())
     if isinstance(value, bool) or value is None:
         return value
+    if is_dataclass(value):
+        return _jsonable(_fields(value))
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, complex):
@@ -91,87 +109,42 @@ def _parse_excludes(items: list[str] | None) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _selection_payload(sel: TermSelection) -> dict:
-    return {
-        "side": sel.side,
-        "rho": sel.rho,
-        "leading": sel.leading_n,
-        "pairs": list(sel.kept_pairs),
-        "dropped_pairs": list(sel.dropped_pairs),
-        "standalones": list(sel.standalones),
-        "scan_end": sel.scan_end,
-        "max_index": sel.max_index,
-        "excluded": list(sel.excluded),
-        "n_terms": sel.n_terms,
-    }
+def _profile_header(p) -> dict:
+    return {"period": p.period, "N": p.n, "M": p.m, "e_min": p.e_min, "e_max": p.e_max}
 
 
-def _sweep_row_payload(row: SweepRow) -> dict:
-    return {
-        "rho": row.rho,
-        "a": row.a_limit,
-        "b": row.b_limit,
-        "ratio": row.ratio,
-        "lambda1": row.lambda1,
-        "lambda2": row.lambda2,
-        "n_lower": row.n_lower_terms,
-        "n_upper": row.n_upper_terms,
-        "converges": row.converges,
-    }
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     s = resolve_scheme(args.scheme)
-    if cancellation_check(s) != 0:
-        raise SchemeError(
-            f"scheme {render_scheme(s)} fails the cancellation condition "
-            f"(sum nu(n)/n = {cancellation_check(s)})"
-        )
     p = e_profile(s)
-    _emit(
-        {
-            "name": s.name,
-            "scheme": render_scheme(s),
-            "period": p.period,
-            "N": p.n,
-            "M": p.m,
-            "e_min": p.e_min,
-            "e_max": p.e_max,
-            **asdict(base_bounds(s, p)),
-        }
-    )
-    return 0
+    return {
+        "name": s.name,
+        "scheme": render_scheme(s),
+        **_profile_header(p),
+        **_fields(base_bounds(s, p)),
+    }
 
 
-def _cmd_eprofile(args) -> int:
+def _cmd_eprofile(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     if args.csv:
         _write_csv(
             args.csv, ["x", "E"], ((x, int(p.values[x - 1])) for x in range(1, p.period + 1))
         )
-    _emit(
-        {
-            "scheme": render_scheme(s),
-            "period": p.period,
-            "N": p.n,
-            "M": p.m,
-            "e_min": p.e_min,
-            "e_max": p.e_max,
-            "first_occurrence": {str(k): v for k, v in sorted(p.first_occurrence.items())},
-            "values": p.values.tolist(),
-        }
-    )
-    return 0
+    return {
+        "scheme": render_scheme(s),
+        **_profile_header(p),
+        "first_occurrence": dict(sorted(p.first_occurrence.items())),
+        "values": p.values.tolist(),
+    }
 
 
-def _cmd_base_bounds(args) -> int:
+def _cmd_base_bounds(args) -> dict:
     s = resolve_scheme(args.scheme)
-    _emit({"scheme": render_scheme(s), **asdict(base_bounds(s))})
-    return 0
+    return {"scheme": render_scheme(s), **_fields(base_bounds(s))}
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     sel = select_terms(
@@ -179,16 +152,13 @@ def _cmd_select(args) -> int:
     )
     if args.csv:
         _write_csv(args.csv, ["position", "sign", "status"], selection_rows(sel))
-    payload = _selection_payload(sel)
-    payload["scheme"] = render_scheme(s)
+    payload = {**_fields(sel), "n_terms": sel.n_terms, "scheme": render_scheme(s)}
     if args.check_domination:
-        rep = selection_step_function(sel, p, strict=False)
-        payload["domination_ok"] = rep.ok
-    _emit(payload)
-    return 0
+        payload["domination_ok"] = selection_step_function(sel, p, strict=False).ok
+    return payload
 
 
-def _cmd_iterate(args) -> int:
+def _cmd_iterate(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     A = constant_A(s)
@@ -215,7 +185,7 @@ def _cmd_iterate(args) -> int:
         "a": result.a_limit,
         "b": result.b_limit,
         "ratio": result.b_limit / result.a_limit,
-        "eigenvalues": list(result.eigenvalues),
+        "eigenvalues": result.eigenvalues,
         "converges": result.converges,
         "n_lower_terms": lower.n_terms,
         "n_upper_terms": upper.n_terms,
@@ -228,28 +198,21 @@ def _cmd_iterate(args) -> int:
         payload["trace"] = [{"i": i, "a": a, "b": b} for i, a, b in trace]
         if args.csv:
             _write_csv(args.csv, ["i", "a_i", "b_i"], trace)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     s = resolve_scheme(args.scheme)
     exclude = _parse_excludes(args.exclude)
-    sweep = sweep_rho(s, args.rho_min, args.rho_max, args.step, exclude)
-    rows = [_sweep_row_payload(r) for r in sweep]
+    rows = [_fields(r) for r in sweep_rho(s, args.rho_min, args.rho_max, args.step, exclude)]
     if args.csv:
         _write_csv(args.csv, list(rows[0]), (row.values() for row in rows))
-    payload: dict = {"scheme": render_scheme(s), "rows": rows}
+    payload = {"scheme": render_scheme(s), "rows": rows}
     if args.refine:
-        opt = optimize_rho(s, args.rho_min, args.rho_max, args.step, exclude=exclude)
-        payload["optimum"] = {
-            "best_a": _sweep_row_payload(opt.best_a),
-            "best_b": _sweep_row_payload(opt.best_b),
-            "best_ratio": _sweep_row_payload(opt.best_ratio),
-            "residual": opt.residual,
-        }
-    _emit(payload)
-    return 0
+        payload["optimum"] = optimize_rho(
+            s, args.rho_min, args.rho_max, args.step, exclude=exclude
+        )
+    return payload
 
 
 # Each verify check's --limit when the flag is absent.
@@ -264,26 +227,14 @@ _VERIFY_LIMITS = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     limit = _VERIFY_LIMITS[args.check] if args.limit is None else args.limit
     if args.check == "convolution":
         rep = check_convolution_identities(limit)
-        _emit(
-            {
-                "name": "convolution",
-                "limit": rep.limit,
-                "max_dev_T": rep.max_dev_T,
-                "max_dev_psi": rep.max_dev_psi,
-                "passed": rep.passed,
-            }
-        )
-        return 0 if rep.passed else 1
+        return {"name": "convolution", **_fields(rep), "passed": rep.passed}
     if args.check == "lcm":
-        if limit < 1:
-            raise OutOfRangeError("lcm needs --limit >= 1")
-        failures = [x for x in range(1, limit + 1) if not lcm_identity_check(x)]
-        _emit({"name": "lcm", "x_max": limit, "failures": failures, "passed": not failures})
-        return 0 if not failures else 1
+        failures = lcm_identity_failures(limit)
+        return {"name": "lcm", "x_max": limit, "failures": failures, "passed": not failures}
     if args.check == "v-identity":
         s = resolve_scheme(args.scheme or "cheb")
         rep = verify_V_identities(s, limit)
@@ -310,11 +261,10 @@ def _cmd_verify(args) -> int:
         tables = build_sieve(limit)
         ladder = [float(x) for x in (100, 1000, 10**4, limit) if x <= limit]
         rep = verify_psi_pi(args.alpha, ladder, tables)
-    _emit(asdict(rep))
-    return 0 if rep.passed else 1
+    return _fields(rep)
 
 
-def _cmd_list_schemes(args) -> int:
+def _cmd_list_schemes(args) -> dict:
     entries = []
     for name, s in BUILTINS.items():
         p = e_profile(s)
@@ -331,8 +281,60 @@ def _cmd_list_schemes(args) -> int:
                 "the bracket form [1,6;2,3] does not cancel"
             )
         entries.append(entry)
-    _emit({"schemes": entries})
-    return 0
+    return {"schemes": entries}
+
+
+# Options that several subcommands share: (name or flag, add_argument keywords).
+_SCHEME = ("scheme", {})
+_RHO = ("--rho", {"type": float, "required": True})
+_EXCLUDE = ("--exclude", {"action": "append", "metavar": "m,n"})
+_CSV = ("--csv", {"metavar": "PATH"})
+
+# (name, handler, help, options) of every subcommand, in the order --help lists them.
+_SUBCOMMANDS = (
+    ("analyze", _cmd_analyze, "scheme constants and profile metrics", [_SCHEME]),
+    ("eprofile", _cmd_eprofile, "one period of E with jump metrics", [_SCHEME, _CSV]),
+    ("base-bounds", _cmd_base_bounds, "one-shot telescoping bounds A', B", [_SCHEME]),
+    ("select", _cmd_select, "rho-threshold term selection for one side", [
+        _SCHEME,
+        _RHO,
+        ("--side", {"choices": ("lower", "upper"), "required": True}),
+        ("--max-index", {"type": int}),
+        _EXCLUDE,
+        _CSV,
+        ("--check-domination", {"action": "store_true"}),
+    ]),
+    ("iterate", _cmd_iterate, "affine recurrence fixed point (and trace)", [
+        _SCHEME,
+        _RHO,
+        ("--a0", {"type": float}),
+        ("--b0", {"type": float}),
+        ("--steps", {"type": int}),
+        ("--hybrid-lower", {"metavar": "SCHEME2"}),
+        ("--hybrid-max-index", {"type": int}),
+        _EXCLUDE,
+        _CSV,
+    ]),
+    ("sweep", _cmd_sweep, "tabulate limits and spectra over a rho grid", [
+        _SCHEME,
+        ("--rho-min", {"type": float, "default": 1.02}),
+        ("--rho-max", {"type": float, "default": 2.0}),
+        ("--step", {"type": float, "default": 0.005}),
+        ("--refine", {"action": "store_true"}),
+        _EXCLUDE,
+        _CSV,
+    ]),
+    ("verify", _cmd_verify, "empirical checks against the sieve oracle", [
+        ("check", {"choices": tuple(_VERIFY_LIMITS)}),
+        ("--limit", {"type": int}),
+        ("--scheme", {}),
+        ("--rho", {"type": float, "default": 1.2}),
+        ("--a", {"type": float, "default": 0.9226}),
+        ("--b", {"type": float, "default": 1.0765}),
+        ("--alpha", {"type": float, "default": 0.75}),
+    ]),
+    ("list-schemes", _cmd_list_schemes, "built-in scheme registry", []),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,65 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chebyshev-Sylvester elementary bounds for the prime-counting function",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="scheme constants and profile metrics")
-    p_analyze.add_argument("scheme")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_prof = sub.add_parser("eprofile", help="one period of E with jump metrics")
-    p_prof.add_argument("scheme")
-    p_prof.add_argument("--csv", metavar="PATH")
-    p_prof.set_defaults(func=_cmd_eprofile)
-
-    p_bb = sub.add_parser("base-bounds", help="one-shot telescoping bounds A', B")
-    p_bb.add_argument("scheme")
-    p_bb.set_defaults(func=_cmd_base_bounds)
-
-    p_sel = sub.add_parser("select", help="rho-threshold term selection for one side")
-    p_sel.add_argument("scheme")
-    p_sel.add_argument("--rho", type=float, required=True)
-    p_sel.add_argument("--side", choices=("lower", "upper"), required=True)
-    p_sel.add_argument("--max-index", type=int, default=None)
-    p_sel.add_argument("--exclude", action="append", metavar="m,n")
-    p_sel.add_argument("--csv", metavar="PATH")
-    p_sel.add_argument("--check-domination", action="store_true")
-    p_sel.set_defaults(func=_cmd_select)
-
-    p_it = sub.add_parser("iterate", help="affine recurrence fixed point (and trace)")
-    p_it.add_argument("scheme")
-    p_it.add_argument("--rho", type=float, required=True)
-    p_it.add_argument("--a0", type=float, default=None)
-    p_it.add_argument("--b0", type=float, default=None)
-    p_it.add_argument("--steps", type=int, default=None)
-    p_it.add_argument("--hybrid-lower", metavar="SCHEME2")
-    p_it.add_argument("--hybrid-max-index", type=int, default=None)
-    p_it.add_argument("--exclude", action="append", metavar="m,n")
-    p_it.add_argument("--csv", metavar="PATH")
-    p_it.set_defaults(func=_cmd_iterate)
-
-    p_sw = sub.add_parser("sweep", help="tabulate limits and spectra over a rho grid")
-    p_sw.add_argument("scheme")
-    p_sw.add_argument("--rho-min", type=float, default=1.02)
-    p_sw.add_argument("--rho-max", type=float, default=2.0)
-    p_sw.add_argument("--step", type=float, default=0.005)
-    p_sw.add_argument("--refine", action="store_true")
-    p_sw.add_argument("--exclude", action="append", metavar="m,n")
-    p_sw.add_argument("--csv", metavar="PATH")
-    p_sw.set_defaults(func=_cmd_sweep)
-
-    p_ver = sub.add_parser("verify", help="empirical checks against the sieve oracle")
-    p_ver.add_argument("check", choices=tuple(_VERIFY_LIMITS))
-    p_ver.add_argument("--limit", type=int, default=None)
-    p_ver.add_argument("--scheme", default=None)
-    p_ver.add_argument("--rho", type=float, default=1.2)
-    p_ver.add_argument("--a", type=float, default=0.9226)
-    p_ver.add_argument("--b", type=float, default=1.0765)
-    p_ver.add_argument("--alpha", type=float, default=0.75)
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_ls = sub.add_parser("list-schemes", help="built-in scheme registry")
-    p_ls.set_defaults(func=_cmd_list_schemes)
-
+    for name, handler, help_text, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -413,13 +361,14 @@ _KNOWN_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
     except _KNOWN_ERRORS as exc:
         print(f"chebsylv: error: {exc}", file=sys.stderr)
         return 2
+    _emit(payload)
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -68,14 +68,14 @@ def build_recurrence(
         raise IterationError("selection sides do not match their roles")
     if N < 2:
         raise IterationError("N must be >= 2")
-    up = selection_coefficients(upper)
-    lo = selection_coefficients(lower)
+    up_a, up_b = selection_coefficients(upper)
+    lo_a, lo_b = selection_coefficients(lower)
     k = Fraction(N, N - 1)
     return AffineRecurrence(
-        m11=up.coef_a,
-        m12=-up.coef_b,
-        m21=-k * lo.coef_a,
-        m22=k * lo.coef_b,
+        m11=up_a,
+        m12=-up_b,
+        m21=-k * lo_a,
+        m22=k * lo_b,
         k=k,
         upper_A=A if upper_A is None else upper_A,
         lower_A=A,

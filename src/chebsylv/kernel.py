@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SIEVE_CAP = 10**7
+LCM_CAP = 10**4
 
 
 class CapacityError(ValueError):
@@ -194,21 +195,40 @@ def check_convolution_identities(
     return ConvolutionReport(limit=limit, max_dev_T=dev_t, max_dev_psi=dev_psi)
 
 
-def lcm_identity_check(x: int) -> bool:
-    """True iff the product of p over prime powers p^m <= x equals lcm(1..x).
+def lcm_identity_failures(x_max: int) -> list[int]:
+    """Every x <= x_max at which the product of p over prime powers p^m <= x
+    differs from lcm(1..x).
 
-    Exact big-integer comparison; intended for small x (<= 60 or so).
+    One pass with both sides as running integers: the product gains a factor
+    p at each prime power x = p^m, and the lcm takes in x. The lcm has about
+    1.44 x bits, so the pass is quadratic in x_max and capped at LCM_CAP.
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    prod = 1
-    for p in range(2, x + 1):
-        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+    if x_max < 1:
+        raise OutOfRangeError("lcm check needs x_max >= 1")
+    if x_max > LCM_CAP:
+        raise CapacityError(f"lcm check limit {x_max} exceeds cap {LCM_CAP}")
+    base = [1] * (x_max + 1)  # base[p^m] = p, 1 elsewhere
+    composite = bytearray(x_max + 1)
+    for p in range(2, x_max + 1):
+        if not composite[p]:
+            composite[p::p] = b"\1" * (x_max // p)
             pk = p
-            while pk <= x:
-                prod *= p
+            while pk <= x_max:
+                base[pk] = p
                 pk *= p
-    return prod == math.lcm(*range(1, x + 1))
+    prod = lcm = 1
+    failures = []
+    for x in range(1, x_max + 1):
+        prod *= base[x]
+        lcm = math.lcm(lcm, x)
+        if prod != lcm:
+            failures.append(x)
+    return failures
+
+
+def lcm_identity_check(x: int) -> bool:
+    """True iff the product of p over prime powers p^m <= x equals lcm(1..x)."""
+    return x not in lcm_identity_failures(x)
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,6 @@ class Scheme:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.terms)
 
-    def weight(self, k: int) -> int:
-        for idx, w in self.terms:
-            if idx == k:
-                return w
-        return 0
-
 
 def _from_weights(weights: dict[int, int], name: str | None = None) -> Scheme:
     terms = tuple(sorted((k, w) for k, w in weights.items() if w != 0))
@@ -128,8 +122,12 @@ class EProfile:
 
 def e_profile(s: Scheme) -> EProfile:
     """Compute E over one full period; requires the cancellation condition."""
-    if cancellation_check(s) != 0:
-        raise SchemeError("scheme does not satisfy the cancellation condition; E is not periodic")
+    total = cancellation_check(s)
+    if total != 0:
+        raise SchemeError(
+            f"scheme {render_scheme(s)} fails the cancellation condition "
+            f"(sum nu(n)/n = {total}); E is not periodic"
+        )
     period = math.lcm(*s.support)
     if period > PERIOD_CAP:
         raise CapacityError(f"period {period} exceeds cap {PERIOD_CAP}")
@@ -205,22 +203,18 @@ def base_bounds(s: Scheme, profile: EProfile | None = None) -> BaseBounds:
     )
 
 
-def _builtin(text: str, name: str) -> Scheme:
-    return parse_scheme(text, name=name)
-
-
 # nu4 uses the delta-expansion {1,-2,-3,-6}; the bracket string "[1,6;2,3]"
 # circulating for it fails the cancellation condition.
 BUILTINS: dict[str, Scheme] = {
-    "nu1": _builtin("1:1,2:-2", "nu1"),
-    "nu2": _builtin("1:1,2:-1,3:-2,6:1", "nu2"),
-    "nu3": _builtin("1:1,2:-1,3:-1,4:-1,12:1", "nu3"),
-    "nu4": _builtin("1:1,2:-1,3:-1,6:-1", "nu4"),
-    "nu5": _builtin("1:1,2:-1,3:-1,5:-1,15:1,30:-1", "nu5"),
-    "nu6": _builtin("1:1,2:-1,3:-1,5:-1,6:1,7:-1,70:1,210:-1", "nu6"),
-    "nu7": _builtin("[1,6,10,210,231,1155;2,3,5,7,11,105]", "nu7"),
-    "nu8": _builtin("[1,6,10,14,105;2,3,5,7,11,13,385,1001]", "nu8"),
-    "cheb": _builtin("[1,30;2,3,5]", "cheb"),
+    "nu1": parse_scheme("1:1,2:-2", "nu1"),
+    "nu2": parse_scheme("1:1,2:-1,3:-2,6:1", "nu2"),
+    "nu3": parse_scheme("1:1,2:-1,3:-1,4:-1,12:1", "nu3"),
+    "nu4": parse_scheme("1:1,2:-1,3:-1,6:-1", "nu4"),
+    "nu5": parse_scheme("1:1,2:-1,3:-1,5:-1,15:1,30:-1", "nu5"),
+    "nu6": parse_scheme("1:1,2:-1,3:-1,5:-1,6:1,7:-1,70:1,210:-1", "nu6"),
+    "nu7": parse_scheme("[1,6,10,210,231,1155;2,3,5,7,11,105]", "nu7"),
+    "nu8": parse_scheme("[1,6,10,14,105;2,3,5,7,11,13,385,1001]", "nu8"),
+    "cheb": parse_scheme("[1,30;2,3,5]", "cheb"),
 }
 
 

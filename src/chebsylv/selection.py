@@ -243,18 +243,12 @@ def selection_step_function(
     return report
 
 
-@dataclass(frozen=True)
-class SelectionCoefficients:
-    coef_a: Fraction
-    coef_b: Fraction
-
-
-def selection_coefficients(sel: TermSelection) -> SelectionCoefficients:
-    """Exact rational coefficient sums feeding the affine recurrence."""
+def selection_coefficients(sel: TermSelection) -> tuple[Fraction, Fraction]:
+    """Exact rational sums (coef_a, coef_b) feeding the affine recurrence."""
     coef_a = sum((Fraction(1, m) for m, _ in sel.kept_pairs), Fraction(0))
     coef_b = sum((Fraction(1, n) for _, n in sel.kept_pairs), Fraction(0))
     coef_b += sum((Fraction(1, u) for u in sel.standalones), Fraction(0))
-    return SelectionCoefficients(coef_a=coef_a, coef_b=coef_b)
+    return coef_a, coef_b
 
 
 def selection_rows(sel: TermSelection) -> list[tuple[int, int, str]]:

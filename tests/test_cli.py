@@ -188,6 +188,12 @@ def test_verify_lcm(capsys):
     assert json.loads(out)["failures"] == []
 
 
+def test_verify_lcm_reaches_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lcm", "--limit", "10000")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_selection(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "selection", "--scheme", "nu4", "--rho", "1.5",
@@ -258,6 +264,7 @@ def test_floats_have_12_significant_digits(capsys):
         "verify convolution --limit 0",
         "verify lcm --limit 0",
         "verify lcm --limit -3",
+        "verify lcm --limit 10001",
     ],
 )
 def test_bad_user_input_exits_2(capsys, argv):

@@ -16,7 +16,7 @@ from chebsylv import (
     psi,
     psi_pi_bracket,
 )
-from chebsylv.kernel import SieveTables
+from chebsylv.kernel import SieveTables, lcm_identity_failures
 
 
 def brute_lambda(n: int) -> float:
@@ -195,6 +195,23 @@ def test_convolution_identities(tables_10k):
 
 def test_lcm_identity_all_small_x():
     assert all(lcm_identity_check(x) for x in range(1, 51))
+
+
+def brute_lcm_identity(x: int) -> bool:
+    """Independent per-x check: trial-divided primes, lcm(1..x) from scratch."""
+    prod = 1
+    for p in range(2, x + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            pk = p
+            while pk <= x:
+                prod *= p
+                pk *= p
+    return prod == math.lcm(*range(1, x + 1))
+
+
+def test_lcm_failures_match_brute_force():
+    brute = [x for x in range(1, 301) if not brute_lcm_identity(x)]
+    assert lcm_identity_failures(300) == brute
 
 
 def test_psi_pi_bracket_holds(tables_10k):

@@ -189,9 +189,7 @@ def test_step_function_detects_bad_selection(profiles):
 def test_selection_coefficients_exact(profiles):
     p = profiles["nu4"]
     sel = select_terms(p, "lower", 1.5)
-    coef = selection_coefficients(sel)
-    assert coef.coef_a == Fraction(1, 7)
-    assert coef.coef_b == Fraction(1, 12)
+    assert selection_coefficients(sel) == (Fraction(1, 7), Fraction(1, 12))
 
 
 def test_selection_rows_statuses(profiles):
