@@ -38,7 +38,7 @@ from .selection import (
     selection_step_function,
 )
 from .iteration import IterationError, build_recurrence, fixed_point, iterate
-from .sweep import optimize_rho, sweep_rho
+from .sweep import _optimize, _sweep
 from .verify import (
     verify_V_identities,
     verify_asymptotic_A,
@@ -203,15 +203,14 @@ def _cmd_iterate(args) -> dict:
 
 def _cmd_sweep(args) -> dict:
     s = resolve_scheme(args.scheme)
-    exclude = _parse_excludes(args.exclude)
-    rows = [_fields(r) for r in sweep_rho(s, args.rho_min, args.rho_max, args.step, exclude)]
+    window = (args.rho_min, args.rho_max, args.step)
+    rows, make_row = _sweep(s, *window, _parse_excludes(args.exclude))
+    table = [_fields(r) for r in rows]
     if args.csv:
-        _write_csv(args.csv, list(rows[0]), (row.values() for row in rows))
-    payload = {"scheme": render_scheme(s), "rows": rows}
-    if args.refine:
-        payload["optimum"] = optimize_rho(
-            s, args.rho_min, args.rho_max, args.step, exclude=exclude
-        )
+        _write_csv(args.csv, list(table[0]), (row.values() for row in table))
+    payload = {"scheme": render_scheme(s), "rows": table}
+    if args.refine:  # the optimum searched on the same rows and row factory
+        payload["optimum"] = _optimize(rows, make_row, *window)
     return payload
 
 

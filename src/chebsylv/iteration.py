@@ -68,8 +68,24 @@ def build_recurrence(
         raise IterationError("selection sides do not match their roles")
     if N < 2:
         raise IterationError("N must be >= 2")
-    up_a, up_b = selection_coefficients(upper)
-    lo_a, lo_b = selection_coefficients(lower)
+    return _recurrence(
+        selection_coefficients(lower),
+        selection_coefficients(upper),
+        A,
+        N,
+        A if upper_A is None else upper_A,
+    )
+
+
+def _recurrence(
+    lower: tuple[Fraction, Fraction],
+    upper: tuple[Fraction, Fraction],
+    A: float,
+    N: int,
+    upper_A: float,
+) -> AffineRecurrence:
+    """Recurrence from each side's (coef_a, coef_b)."""
+    (lo_a, lo_b), (up_a, up_b) = lower, upper
     k = Fraction(N, N - 1)
     return AffineRecurrence(
         m11=up_a,
@@ -77,31 +93,23 @@ def build_recurrence(
         m21=-k * lo_a,
         m22=k * lo_b,
         k=k,
-        upper_A=A if upper_A is None else upper_A,
+        upper_A=upper_A,
         lower_A=A,
     )
 
 
-def eigenvalues(rec: AffineRecurrence) -> tuple[complex, complex]:
-    tr = float(rec.m11 + rec.m22)
-    det = float(rec.m11 * rec.m22 - rec.m12 * rec.m21)
-    disc = tr * tr - 4 * det
+def _spectrum(tr: Fraction, det: Fraction) -> tuple[tuple[complex, complex], bool]:
+    """Floating eigenvalues of M from its exact trace and determinant, plus
+    the exact real 2x2 stability verdict |det M| < 1 and |tr M| < 1 + det M."""
+    t, d = float(tr), float(det)
+    disc = t * t - 4 * d
     root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
-    lam1 = (tr - root) / 2
-    lam2 = (tr + root) / 2
-    return (lam1, lam2)
+    return ((t - root) / 2, (t + root) / 2), abs(det) < 1 and abs(tr) < 1 + det
 
 
 def convergence(rec: AffineRecurrence) -> tuple[tuple[complex, complex], bool]:
-    """Floating eigenvalues plus an exact spectral-radius-below-1 verdict.
-
-    Real 2x2 stability criterion in exact rationals: |det M| < 1 and
-    |tr M| < 1 + det M.
-    """
-    det = rec.m11 * rec.m22 - rec.m12 * rec.m21
-    tr = rec.m11 + rec.m22
-    stable = abs(det) < 1 and abs(tr) < 1 + det
-    return eigenvalues(rec), stable
+    """Floating eigenvalues plus an exact spectral-radius-below-1 verdict."""
+    return _spectrum(rec.m11 + rec.m22, rec.m11 * rec.m22 - rec.m12 * rec.m21)
 
 
 def fixed_point(rec: AffineRecurrence) -> IterationResult:
@@ -111,10 +119,11 @@ def fixed_point(rec: AffineRecurrence) -> IterationResult:
     When the two are equal, alpha and beta are the exact limits in units of A;
     otherwise they are None and only the float limits are reported.
     """
-    det = (1 - rec.m11) * (1 - rec.m22) - rec.m12 * rec.m21
+    tr, det_m = rec.m11 + rec.m22, rec.m11 * rec.m22 - rec.m12 * rec.m21
+    det = 1 - tr + det_m  # det(I - M)
     if det == 0:
         raise IterationError("I - M is singular: no fixed point")
-    eigs, stable = convergence(rec)
+    eigs, stable = _spectrum(tr, det_m)
     # det * (a, b) = adj(I - M) (upper_A, k lower_A), coefficient by coefficient
     a_up, a_lo = 1 - rec.m22, rec.m12 * rec.k
     b_up, b_lo = rec.m21, (1 - rec.m11) * rec.k

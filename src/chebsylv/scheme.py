@@ -140,27 +140,24 @@ def e_profile(s: Scheme) -> EProfile:
         raise SchemeError("internal: E(period) != 0 despite cancellation")
 
     deltas = np.diff(values, prepend=0)
-    jump_pos = np.nonzero(deltas)[0]
-    jumps = tuple((int(p + 1), int(deltas[p])) for p in jump_pos)
+    jump_pos = np.flatnonzero(deltas)
+    jumps = tuple(zip((jump_pos + 1).tolist(), deltas[jump_pos].tolist()))
 
     below = np.nonzero(values < 1)[0]
     n = int(below[0] + 1) if below.size else period + 1
     above = np.nonzero(values > 1)[0]
     m = int(above[0] + 1) if above.size else None
 
-    first_occurrence: dict[int, int] = {}
-    for level in np.unique(values):
-        first_occurrence[int(level)] = int(np.nonzero(values == level)[0][0] + 1)
-
+    levels, first = np.unique(values, return_index=True)
     return EProfile(
         period=period,
         values=values,
         jumps=jumps,
         n=n,
         m=m,
-        e_min=int(values.min()),
-        e_max=int(values.max()),
-        first_occurrence=first_occurrence,
+        e_min=int(levels[0]),
+        e_max=int(levels[-1]),
+        first_occurrence=dict(zip(levels.tolist(), (first + 1).tolist())),
     )
 
 

@@ -12,6 +12,7 @@ the period; ``pair_pattern`` records that finite pattern and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +26,9 @@ from .scheme import EProfile
 BLOCK_PERIOD = 4
 
 # Pairs one side may keep. As rho -> 1 the kept count grows without bound,
-# and the exact fixed point slows faster than linearly in it (8,300 kept
-# pairs per side take 0.4 s for nu1, 6,200 take 1.6 s for nu8).
+# and the exact fixed point slows faster than linearly in it: build_recurrence
+# and fixed_point take 0.07 s for nu1 with 8,300 kept pairs per side, 0.19 s
+# for nu8 with 6,200 and 0.31 s with 8,300 (best of 3, 2-vCPU x86-64 VM).
 MAX_KEPT_PAIRS = 10_000
 
 
@@ -75,38 +77,52 @@ class PairPattern:
 
 
 def pair_pattern(profile: EProfile, side: str) -> PairPattern:
-    """Stack-match one side's unit jumps over periods 1 to BLOCK_PERIOD - 1.
+    """Match one side's unit jumps over periods 1 to BLOCK_PERIOD - 1.
 
     The opening jumps are the up-steps of a walk: E - 1 + [x >= N] on the
-    lower side, 1 - E on the upper. From period 2 on the walk is periodic and
-    starts every period at the same level. Since E >= 1 on [1, N) and
-    E(P) = 0, the walk reaches its lowest level in period 1 (and again in
-    every later period), so no standalone closes after period 1. A close
-    pairs with the last open on its own level, which from period 3 on lies in
-    the same period or the one before, so the pairs closed in period q + 1
+    lower side, 1 - E on the upper. A close pairs with the last open on its
+    own level that no earlier close took, as a stack would match them. The
+    steps that cross one edge of the walk (level h to h + 1 or back) cross it
+    in turn up and down, so that open is the step just before the close
+    among the steps on its edge, in walk order; a close with no open there
+    is the first crossing of its edge, a new minimum, and stays standalone.
+    So one stable sort of the steps by edge matches every close at once.
+
+    From period 2 on the walk is periodic and starts every period at the same
+    level. Since E >= 1 on [1, N) and E(P) = 0, the walk reaches its lowest
+    level in period 1 (and again in every later period), so no standalone
+    closes after period 1. From period 3 on, the open a close pairs with lies
+    in the same period or the one before, so the pairs closed in period q + 1
     are the period-q pairs shifted by P for every q >= 3.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    period, lower = profile.period, side == "lower"
-    units = [(x, 1 if d > 0 else -1) for x, d in profile.jumps for _ in range(abs(d))]
-    first = list(units)
-    first.remove((1, 1))  # the leading psi(x) term
+    period, lower, values = profile.period, side == "lower", profile.values
+    jump = np.empty_like(values)
+    jump[0] = values[0]
+    np.subtract(values[1:], values[:-1], out=jump[1:])
+    at = np.flatnonzero(jump)
+    jump = jump[at]
+    size = np.abs(jump)
+    x = np.repeat(at + 1, size)  # one period's unit jumps, in walk order
+    # +1 opens, -1 closes; the leading terms become 0, which no close pairs with
+    unit = np.repeat(jump // size if lower else -jump // size, size)
+    step = np.concatenate((unit,) * (BLOCK_PERIOD - 1))
+    step[0] = 0  # the leading psi(x) term
     if lower:
-        first.remove((profile.n, -1))  # and psi(x/N)
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    standalones: list[int] = []
-    for q in range(1, BLOCK_PERIOD):
-        for x, sign in first if q == 1 else units:
-            pos = (q - 1) * period + x
-            if (sign > 0) == lower:  # an opening jump
-                stack.append(pos)
-            elif stack:
-                pairs.append((stack.pop(), pos))
-            else:
-                standalones.append(pos)
-    prefix = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        step[np.searchsorted(x, profile.n)] = 0  # and psi(x/N)
+    edge = np.cumsum(step)
+    edge -= step > 0  # an up-step to level h crosses edge h - 1
+    order = np.argsort(edge, kind="stable")
+    s, e = step[order], edge[order]
+    hit = np.flatnonzero((s[1:] < 0) & (s[:-1] > 0) & (e[1:] == e[:-1]))
+    closes = order[hit + 1]
+    by_close = np.argsort(closes)
+    ends = np.stack((order[hit][by_close], closes[by_close]), axis=1)
+    s[hit + 1] = 0  # leaves the closes that found no open
+    alone = np.sort(order[s < 0])
+    units = len(x)
+    prefix = x[ends % units] + ends // units * period
     last = prefix[prefix[:, 1] > (BLOCK_PERIOD - 2) * period]  # closed in the last period
     return PairPattern(
         side=side,
@@ -114,7 +130,7 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
         leading_n=profile.n if lower else None,
         prefix=prefix,
         block=last + period,
-        standalones=tuple(standalones),
+        standalones=tuple((x[alone % units] + alone // units * period).tolist()),
     )
 
 
@@ -151,11 +167,19 @@ def _select(
             f"side={pattern.side} at rho={rho} keeps about {int(kept_count)} pairs, "
             f"over the cap of {MAX_KEPT_PAIRS}; use a larger rho"
         )
-    # float ratios never rise with k (division rounds monotonically), and the
-    # pair setting k_end alone keeps about k_end shifts, so the cap bounds it
-    k_end = 0
-    while ((bn + k_end * period) / (bm + k_end * period) > rho).any():
+    # k_end is the first k at which no float ratio exceeds rho. Float ratios
+    # never rise with k (division rounds monotonically), so it is the largest
+    # reach rounded up, moved by the float test where rounding put it a step
+    # off; the pair setting k_end alone keeps about k_end shifts, so the cap
+    # bounds it
+    def exceeds(k: int) -> bool:
+        return bool(((bn + k * period) / (bm + k * period) > rho).any())
+
+    k_end = max(0, math.ceil(reach.max())) if reach.size else 0
+    while exceeds(k_end):
         k_end += 1
+    while k_end > 0 and not exceeds(k_end - 1):
+        k_end -= 1
     shifts = np.arange(k_end + 1, dtype=np.int64)[:, None] * period
     m = np.concatenate([pm, (bm + shifts).ravel()])
     n = np.concatenate([pn, (bn + shifts).ravel()])
@@ -243,11 +267,31 @@ def selection_step_function(
     return report
 
 
+def _reciprocal_sum(ks) -> Fraction:
+    """Exact sum of 1/k over the positive integers ks.
+
+    Sums in a balanced tree, over (numerator, denominator) pairs whose
+    denominators stay the lcm of the terms below them, and reduces once at
+    the end: adding one term at a time to a running Fraction would cost a
+    gcd of the full-size sum per term.
+    """
+    terms = [(1, k) for k in ks]
+    if not terms:
+        return Fraction(0)
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        merged = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            merged.append((a * (d // g) + c * (b // g), b // g * d))
+        terms = merged + odd
+    return Fraction(*terms[0])
+
+
 def selection_coefficients(sel: TermSelection) -> tuple[Fraction, Fraction]:
     """Exact rational sums (coef_a, coef_b) feeding the affine recurrence."""
-    coef_a = sum((Fraction(1, m) for m, _ in sel.kept_pairs), Fraction(0))
-    coef_b = sum((Fraction(1, n) for _, n in sel.kept_pairs), Fraction(0))
-    coef_b += sum((Fraction(1, u) for u in sel.standalones), Fraction(0))
+    coef_a = _reciprocal_sum(m for m, _ in sel.kept_pairs)
+    coef_b = _reciprocal_sum([n for _, n in sel.kept_pairs] + list(sel.standalones))
     return coef_a, coef_b
 
 

@@ -2,7 +2,8 @@
 
 Every row is read from the exact fixed point of ``iteration``. The pairs kept
 at any rho >= rho_min are the pairs kept at rho_min whose ratio reaches rho,
-so rows that keep the same pair counts share one exact solve.
+so rows that keep the same pair counts share one exact solve, and each new
+count's exact sums are reached from the nearest count already summed.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .iteration import IterationError, build_recurrence, fixed_point
+from .iteration import IterationError, _recurrence, fixed_point
 from .kernel import CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
-from .selection import _select, pair_pattern
+from .selection import _reciprocal_sum, _select, pair_pattern
 
 # Grid points per sweep or optimisation; 10^5 rows of nu8 take about 0.8 s.
 MAX_GRID_POINTS = 100_000
@@ -34,42 +36,70 @@ class SweepRow:
     converges: bool
 
 
+def _prefix_sums(
+    pairs: list[tuple[int, int]], extra_b: Fraction
+) -> Callable[[int], tuple[Fraction, Fraction]]:
+    """(sum 1/m, sum 1/n + extra_b) over pairs[:count], for any count.
+
+    Only the counts asked for are kept; a new one adds or takes off the
+    pairs between it and the nearest count already summed.
+    """
+    counts, sums = [0], {0: (Fraction(0), extra_b)}
+
+    def at(count: int) -> tuple[Fraction, Fraction]:
+        if count not in sums:
+            i = bisect.bisect(counts, count)
+            below, above = counts[i - 1], counts[i] if i < len(counts) else math.inf
+            if count - below <= above - count:
+                (a, b), part, sign = sums[below], pairs[below:count], 1
+            else:
+                (a, b), part, sign = sums[above], pairs[count:above], -1
+            sums[count] = (
+                a + sign * _reciprocal_sum(m for m, _ in part),
+                b + sign * _reciprocal_sum(n for _, n in part),
+            )
+            counts.insert(i, count)
+        return sums[count]
+
+    return at
+
+
 def _row_maker(
     s: Scheme, rho_min: float, exclude: tuple[tuple[int, int], ...]
 ) -> Callable[[float], SweepRow]:
     """SweepRow factory valid for every rho >= rho_min."""
     profile = e_profile(s)
     A = constant_A(s)
-    patterns = [pair_pattern(profile, side) for side in ("lower", "upper")]
-    sels = [_select(pattern, rho_min, exclude=exclude) for pattern in patterns]
-    by_ratio = [sorted(sel.kept_pairs, key=lambda p: -(p[1] / p[0])) for sel in sels]
-    neg_ratios = [[-(n / m) for m, n in pairs] for pairs in by_ratio]
+
+    def side_state(side: str):
+        # only the kept pairs and standalones feed the recurrence, and the
+        # selection (dropped pairs and all) is freed before the next side's
+        sel = _select(pair_pattern(profile, side), rho_min, exclude=exclude)
+        pairs = sorted(sel.kept_pairs, key=lambda p: -(p[1] / p[0]))
+        neg_ratios = [-(n / m) for m, n in pairs]
+        sums = _prefix_sums(pairs, _reciprocal_sum(sel.standalones))
+        return neg_ratios, sums, sel.n_terms - 2 * len(pairs)
+
+    (lower_neg, upper_neg), sums, base_terms = zip(*map(side_state, ("lower", "upper")))
     solved: dict = {}
 
     def make_row(rho: float) -> SweepRow:
-        counts = tuple(bisect.bisect_right(neg, -rho) for neg in neg_ratios)
+        counts = (bisect.bisect_right(lower_neg, -rho), bisect.bisect_right(upper_neg, -rho))
         if counts not in solved:
-            # only the kept pairs and standalones feed the recurrence
-            lower, upper = (
-                replace(sel, rho=rho, kept_pairs=tuple(pairs[:c]))
-                for sel, pairs, c in zip(sels, by_ratio, counts)
+            lower, upper = (at(c) for at, c in zip(sums, counts))
+            fp = fixed_point(_recurrence(lower, upper, A, profile.n, A))
+            # a complex-conjugate pair is reported by its modulus
+            lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in fp.eigenvalues)
+            solved[counts] = (
+                fp.a_limit,
+                fp.b_limit,
+                fp.b_limit / fp.a_limit if fp.a_limit else math.inf,
+                lam1,
+                lam2,
+                *(base + 2 * c for base, c in zip(base_terms, counts)),
+                fp.converges,
             )
-            fp = fixed_point(build_recurrence(lower, upper, A, profile.n))
-            solved[counts] = (fp, lower.n_terms, upper.n_terms)
-        fp, n_lower, n_upper = solved[counts]
-        # a complex-conjugate pair is reported by its modulus
-        lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in fp.eigenvalues)
-        return SweepRow(
-            rho=rho,
-            a_limit=fp.a_limit,
-            b_limit=fp.b_limit,
-            ratio=fp.b_limit / fp.a_limit if fp.a_limit else math.inf,
-            lambda1=lam1,
-            lambda2=lam2,
-            n_lower_terms=n_lower,
-            n_upper_terms=n_upper,
-            converges=fp.converges,
-        )
+        return SweepRow(rho, *solved[counts])
 
     return make_row
 
@@ -83,6 +113,19 @@ def _grid(rho_min: float, rho_max: float, step: float) -> list[float]:
     return [rho_min + i * step for i in range(int(span) + 1)]
 
 
+def _sweep(
+    s: Scheme,
+    rho_min: float,
+    rho_max: float,
+    step: float,
+    exclude: tuple[tuple[int, int], ...],
+) -> tuple[list[SweepRow], Callable[[float], SweepRow]]:
+    """The grid rows and the row factory that made them."""
+    grid = _grid(rho_min, rho_max, step)
+    make_row = _row_maker(s, rho_min, exclude)
+    return [make_row(rho) for rho in grid], make_row
+
+
 def sweep_rho(
     s: Scheme,
     rho_min: float = 1.02,
@@ -91,9 +134,7 @@ def sweep_rho(
     exclude: tuple[tuple[int, int], ...] = (),
 ) -> list[SweepRow]:
     """One SweepRow per grid point rho_min, rho_min+step, ..., <= rho_max."""
-    grid = _grid(rho_min, rho_max, step)
-    make_row = _row_maker(s, rho_min, exclude)
-    return [make_row(rho) for rho in grid]
+    return _sweep(s, rho_min, rho_max, step, exclude)[0]
 
 
 @dataclass(frozen=True)
@@ -112,9 +153,19 @@ def optimize_rho(
     exclude: tuple[tuple[int, int], ...] = (),
 ) -> OptimizeResult:
     """Locate near-optimal rho for argmax a, argmin b, and argmin b/a."""
-    grid = _grid(rho_min, rho_max, coarse_step)
-    make_row = _row_maker(s, rho_min, exclude)
-    usable = [r for r in map(make_row, grid) if r.converges and r.a_limit > 0]
+    rows, make_row = _sweep(s, rho_min, rho_max, coarse_step, exclude)
+    return _optimize(rows, make_row, rho_min, rho_max, coarse_step)
+
+
+def _optimize(
+    rows: list[SweepRow],
+    make_row: Callable[[float], SweepRow],
+    rho_min: float,
+    rho_max: float,
+    coarse_step: float,
+) -> OptimizeResult:
+    """optimize_rho from the coarse grid's rows and the factory that made them."""
+    usable = [r for r in rows if r.converges and r.a_limit > 0]
     if not usable:
         raise IterationError("no converging grid point in the sweep range")
 

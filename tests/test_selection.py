@@ -345,6 +345,40 @@ def test_pairs_repeat_from_period_three(profiles, side):
         assert list(pattern.standalones) == alone
 
 
+def loop_pair_pattern(p, side):
+    """pair_pattern by pushing and popping one unit jump at a time: (prefix,
+    block, standalones)."""
+    units = [(x, 1 if d > 0 else -1) for x, d in p.jumps for _ in range(abs(d))]
+    first = list(units)
+    first.remove((1, 1))  # the leading psi(x) term
+    if side == "lower":
+        first.remove((p.n, -1))  # and psi(x/N)
+    stack, pairs, standalones = [], [], []
+    for q in range(1, BLOCK_PERIOD):
+        for x, sign in first if q == 1 else units:
+            pos = (q - 1) * p.period + x
+            if (sign > 0) == (side == "lower"):  # an opening jump
+                stack.append(pos)
+            elif stack:
+                pairs.append((stack.pop(), pos))
+            else:
+                standalones.append(pos)
+    prefix = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    block = prefix[prefix[:, 1] > (BLOCK_PERIOD - 2) * p.period] + p.period
+    return prefix, block, tuple(standalones)
+
+
+def test_pair_pattern_matches_stack_loop(profiles):
+    cases = list(profiles.items()) + [(s.terms, e_profile(s)) for s in _RANDOM_SCHEMES]
+    for name, p in cases:
+        for side in ("lower", "upper"):
+            pattern = pair_pattern(p, side)
+            prefix, block, standalones = loop_pair_pattern(p, side)
+            assert np.array_equal(pattern.prefix, prefix), (name, side)
+            assert np.array_equal(pattern.block, block), (name, side)
+            assert pattern.standalones == standalones, (name, side)
+
+
 def test_rho_near_one_exceeds_the_pair_cap(profiles):
     # about 5 * 10^5 kept pairs: refused before any pair is enumerated
     with pytest.raises(CapacityError):

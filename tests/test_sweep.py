@@ -14,7 +14,7 @@ from chebsylv import (
     select_terms,
     sweep_rho,
 )
-from chebsylv.sweep import MAX_GRID_POINTS
+from chebsylv.sweep import MAX_GRID_POINTS, _row_maker
 
 
 def test_sweep_grid_size_and_order():
@@ -25,12 +25,33 @@ def test_sweep_grid_size_and_order():
     assert all(r2.rho > r1.rho for r1, r2 in zip(rows, rows[1:]))
 
 
+def _breakpoint_rhos(p, rho_min, count):
+    """rho on each side of `count` kept ratios n/m spread over [rho_min, inf):
+    at n/m the pair is kept, one float above it it is dropped."""
+    sels = [select_terms(p, side, rho_min) for side in ("lower", "upper")]
+    ratios = sorted({n / m for sel in sels for m, n in sel.kept_pairs})
+    picks = [ratios[i * (len(ratios) - 1) // (count - 1)] for i in range(count)]
+    return [rho for r in picks for rho in (r, math.nextafter(r, math.inf))]
+
+
 def test_sweep_rows_match_exact_iteration(profiles):
     windows = {"nu4": (1.2, 1.6, 0.1), "cheb": (1.05, 2.0, 0.05), "nu6": (1.05, 1.6, 0.05)}
-    for name, window in windows.items():
+    rows = {name: sweep_rho(BUILTINS[name], *window) for name, window in windows.items()}
+    for name, rho_min in (("nu7", 1.06), ("nu8", 1.04)):
+        # rows asked for out of order, so that exact sums are both extended
+        # and cut back from the nearest count already summed
+        rhos = _breakpoint_rhos(profiles[name], rho_min, 4)
+        make_row = _row_maker(BUILTINS[name], rho_min, ())
+        rows[name] = [make_row(rho) for rho in rhos[::2] + rhos[1::2]]
+        kept, dropped = rows[name][: len(rhos) // 2], rows[name][len(rhos) // 2 :]
+        assert all(
+            a.n_lower_terms + a.n_upper_terms > b.n_lower_terms + b.n_upper_terms
+            for a, b in zip(kept, dropped)
+        )
+    for name, name_rows in rows.items():
         p = profiles[name]
         a_const = constant_A(BUILTINS[name])
-        for row in sweep_rho(BUILTINS[name], *window):
+        for row in name_rows:
             lower = select_terms(p, "lower", row.rho)
             upper = select_terms(p, "upper", row.rho)
             exact = fixed_point(build_recurrence(lower, upper, a_const, p.n))
