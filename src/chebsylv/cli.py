@@ -33,6 +33,7 @@ from .scheme import (
 )
 from .selection import (
     DominationError,
+    list_dropped_pairs,
     select_terms,
     selection_rows,
     selection_step_function,
@@ -66,7 +67,7 @@ def _fields(obj) -> dict:
 def _jsonable(value):
     """Floats at 12 significant digits, Fractions as 'p/q', containers recursed."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _fraction_text(value)
     if isinstance(value, np.generic):
         return _jsonable(value.item())
     if isinstance(value, bool) or value is None:
@@ -84,6 +85,19 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _fraction_text(value: Fraction) -> str:
+    """'p/q' in full. Near the pair cap an exact fixed point runs past the
+    interpreter's int-to-str digit limit (nu8 at rho = 1.0003: about 47,000
+    digits in each numerator and denominator, 0.15 s to print alpha and
+    beta), so the limit is lifted for this conversion only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(payload: dict) -> None:
@@ -150,9 +164,11 @@ def _cmd_select(args) -> dict:
     sel = select_terms(
         p, args.side, args.rho, max_index=args.max_index, exclude=_parse_excludes(args.exclude)
     )
+    dropped = list_dropped_pairs(p, sel)
     if args.csv:
-        _write_csv(args.csv, ["position", "sign", "status"], selection_rows(sel))
+        _write_csv(args.csv, ["position", "sign", "status"], selection_rows(sel, dropped))
     payload = {**_fields(sel), "n_terms": sel.n_terms, "scheme": render_scheme(s)}
+    payload["dropped_pairs"] = dropped  # the listing, in the count's place
     if args.check_domination:
         payload["domination_ok"] = selection_step_function(sel, p, strict=False).ok
     return payload

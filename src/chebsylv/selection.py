@@ -7,7 +7,9 @@ standalone terms. The leading block psi(x) - psi(x/N) (lower side) and the
 psi(x) term (upper side) are set aside before matching. From period 4 on,
 the pairs closed in each period are those of the period before, shifted by
 the period; ``pair_pattern`` records that finite pattern and
-``select_terms`` keeps a pair (m, n) iff n/m >= rho.
+``select_terms`` keeps a pair (m, n) iff n/m >= rho. A selection holds only
+what the bound uses and counts the pairs it drops; ``list_dropped_pairs``
+lists them for output.
 """
 
 from __future__ import annotations
@@ -26,10 +28,16 @@ from .scheme import EProfile
 BLOCK_PERIOD = 4
 
 # Pairs one side may keep. As rho -> 1 the kept count grows without bound,
-# and the exact fixed point slows faster than linearly in it: build_recurrence
-# and fixed_point take 0.07 s for nu1 with 8,300 kept pairs per side, 0.19 s
-# for nu8 with 6,200 and 0.31 s with 8,300 (best of 3, 2-vCPU x86-64 VM).
+# and the exact fixed point slows faster than linearly in it: selecting both
+# sides, build_recurrence and fixed_point take 0.07 s for nu1 with 8,300 kept
+# pairs per side, 0.22 s for nu8 with 6,200 and 0.33 s with 8,300 (best of 3,
+# 2-vCPU x86-64 VM).
 MAX_KEPT_PAIRS = 10_000
+
+# The most dropped pairs list_dropped_pairs lists. A selection only counts
+# them, and as rho -> 1 they outnumber the kept pairs by far (nu8's lower side
+# at rho = 1.0003 drops 1.5 million); only the CLI's select output lists them.
+MAX_LISTED_PAIRS = 100_000
 
 
 class DominationError(RuntimeError):
@@ -49,7 +57,7 @@ class TermSelection:
     rho: float
     leading_n: int | None
     kept_pairs: tuple[tuple[int, int], ...]
-    dropped_pairs: tuple[tuple[int, int], ...]
+    dropped_pairs: int  # how many scanned pairs were not kept
     standalones: tuple[int, ...]
     scan_end: int
     max_index: int | None = None
@@ -154,7 +162,36 @@ def _select(
     """select_terms on a precomputed pattern.
 
     Scans whole periods up to the first one from period BLOCK_PERIOD on whose
-    pairs all have ratio <= rho; a pair with ratio exactly rho is kept.
+    pairs all have ratio <= rho; a pair with ratio exactly rho is kept. Only
+    the kept pairs are sorted and listed; the dropped ones are counted.
+    """
+    excluded = tuple(tuple(p) for p in exclude)
+    m, n, keep, k_end = _scan(pattern, rho, max_index, excluded)
+    at = np.flatnonzero(keep)
+    return TermSelection(
+        side=pattern.side,
+        rho=rho,
+        leading_n=pattern.leading_n,
+        kept_pairs=_sorted_pairs(m[at], n[at]),
+        dropped_pairs=len(keep) - len(at),
+        standalones=tuple(u for u in pattern.standalones if max_index is None or u <= max_index),
+        scan_end=(BLOCK_PERIOD + k_end) * pattern.period,
+        max_index=max_index,
+        excluded=excluded,
+    )
+
+
+def _scan(
+    pattern: PairPattern,
+    rho: float,
+    max_index: int | None,
+    excluded: tuple[tuple[int, int], ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every pair a selection at rho scans, unsorted: (m, n, keep, k_end).
+
+    The scan is the prefix, then the block shifted by k * period for k = 0 to
+    k_end; keep marks the pairs with n / m >= rho that are neither excluded
+    nor past max_index.
     """
     if not 1 < rho < float("inf"):  # NaN fails both comparisons
         raise OutOfRangeError("rho must be finite and exceed 1")
@@ -183,25 +220,33 @@ def _select(
     shifts = np.arange(k_end + 1, dtype=np.int64)[:, None] * period
     m = np.concatenate([pm, (bm + shifts).ravel()])
     n = np.concatenate([pn, (bn + shifts).ravel()])
-    order = np.lexsort((n, m))
-    m, n = m[order], n[order]
-    excluded = tuple(tuple(p) for p in exclude)
     keep = n / m >= rho
     for em, en in excluded:
         keep &= (m != em) | (n != en)
     if max_index is not None:
         keep &= m <= max_index
-    return TermSelection(
-        side=pattern.side,
-        rho=rho,
-        leading_n=pattern.leading_n,
-        kept_pairs=tuple(zip(m[keep].tolist(), n[keep].tolist())),
-        dropped_pairs=tuple(zip(m[~keep].tolist(), n[~keep].tolist())),
-        standalones=tuple(u for u in pattern.standalones if max_index is None or u <= max_index),
-        scan_end=(BLOCK_PERIOD + k_end) * period,
-        max_index=max_index,
-        excluded=excluded,
-    )
+    return m, n, keep, k_end
+
+
+def _sorted_pairs(m: np.ndarray, n: np.ndarray) -> tuple[tuple[int, int], ...]:
+    order = np.lexsort((n, m))
+    return tuple(zip(m[order].tolist(), n[order].tolist()))
+
+
+def list_dropped_pairs(profile: EProfile, sel: TermSelection) -> tuple[tuple[int, int], ...]:
+    """The pairs sel scanned but did not keep, in (m, n) order.
+
+    A selection stores only their count; this lists them again from the
+    profile sel was made from. Raises CapacityError before listing more than
+    MAX_LISTED_PAIRS.
+    """
+    if sel.dropped_pairs > MAX_LISTED_PAIRS:
+        raise CapacityError(
+            f"side={sel.side} at rho={sel.rho} drops {sel.dropped_pairs} pairs, "
+            f"over the listing budget of {MAX_LISTED_PAIRS}; use a larger rho"
+        )
+    m, n, keep, _ = _scan(pair_pattern(profile, sel.side), sel.rho, sel.max_index, sel.excluded)
+    return _sorted_pairs(m[~keep], n[~keep])
 
 
 def _pair_terms(pairs: tuple[tuple[int, int], ...], opens: int) -> list[tuple[int, int]]:
@@ -295,13 +340,16 @@ def selection_coefficients(sel: TermSelection) -> tuple[Fraction, Fraction]:
     return coef_a, coef_b
 
 
-def selection_rows(sel: TermSelection) -> list[tuple[int, int, str]]:
-    """(position, sign, status) rows for CSV export."""
+def selection_rows(
+    sel: TermSelection, dropped: tuple[tuple[int, int], ...]
+) -> list[tuple[int, int, str]]:
+    """(position, sign, status) rows for CSV export; dropped is the listing
+    of list_dropped_pairs."""
     lead = 2 if sel.side == "lower" else 1
     status = (
         ["leading"] * lead + ["kept"] * (2 * len(sel.kept_pairs))
         + ["standalone"] * len(sel.standalones)
     )
     rows = [(k, sign, st) for (k, sign), st in zip(bound_terms(sel), status)]
-    dropped = _pair_terms(sel.dropped_pairs, 1 if sel.side == "lower" else -1)
-    return sorted(rows + [(k, sign, "dropped") for k, sign in dropped])
+    dropped_terms = _pair_terms(dropped, 1 if sel.side == "lower" else -1)
+    return sorted(rows + [(k, sign, "dropped") for k, sign in dropped_terms])

@@ -72,8 +72,7 @@ def _row_maker(
     A = constant_A(s)
 
     def side_state(side: str):
-        # only the kept pairs and standalones feed the recurrence, and the
-        # selection (dropped pairs and all) is freed before the next side's
+        # only the kept pairs and standalones feed the recurrence
         sel = _select(pair_pattern(profile, side), rho_min, exclude=exclude)
         pairs = sorted(sel.kept_pairs, key=lambda p: -(p[1] / p[0]))
         neg_ratios = [-(n / m) for m, n in pairs]

@@ -1,9 +1,12 @@
 import csv
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from chebsylv import BUILTINS, build_recurrence, constant_A, e_profile, fixed_point, select_terms
 from chebsylv.cli import build_parser, main
 
 
@@ -237,6 +240,48 @@ def test_select_rho_near_one_exits_2(capsys):
     assert "over the cap" in err
 
 
+def test_select_lists_dropped_pairs_up_to_the_budget(capsys, tmp_path):
+    # 93,585 dropped pairs, under the listing budget of 10^5 (at rho = 1.002
+    # there are 228,065 and the command exits 2, see below)
+    path = tmp_path / "sel.csv"
+    argv = ("select", "nu8", "--rho", "1.005", "--side", "lower", "--csv", str(path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    dropped = json.loads(out)["dropped_pairs"]
+    assert len(dropped) == 93_585 and dropped == sorted(dropped)
+    with open(path) as fh:
+        statuses = [row[2] for row in csv.reader(fh)]
+    assert statuses.count("dropped") == 2 * 93_585
+
+
+@contextmanager
+def int_digit_limit(digits):
+    """The interpreter's int-to-str digit limit set to digits, then restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_iterate_prints_alpha_past_the_int_digit_limit(capsys):
+    # alpha at nu8, rho = 1.003 has 4,746 digits, past the default limit of
+    # 4,300, which the CLI lifts only to print it
+    with int_digit_limit(4300):
+        code, out, _ = run_cli(capsys, "iterate", "nu8", "--rho", "1.003")
+        assert sys.get_int_max_str_digits() == 4300
+    assert code == 0
+    s = BUILTINS["nu8"]
+    p = e_profile(s)
+    sels = (select_terms(p, side, 1.003) for side in ("lower", "upper"))
+    alpha = fixed_point(build_recurrence(*sels, constant_A(s), p.n)).alpha
+    numerator, denominator = json.loads(out)["alpha"].split("/")
+    assert len(numerator) > 4300
+    with int_digit_limit(0):
+        assert Fraction(int(numerator), int(denominator)) == alpha
+
+
 def test_floats_have_12_significant_digits(capsys):
     _, out, _ = run_cli(capsys, "analyze", "cheb")
     data = json.loads(out)
@@ -248,6 +293,7 @@ def test_floats_have_12_significant_digits(capsys):
     [
         "select nu1 --rho 1 --side lower",
         "select nu4 --rho nan --side lower",
+        "select nu8 --rho 1.002 --side lower",
         "iterate nu4 --rho inf",
         "verify selection --scheme cheb --rho nan",
         "sweep nu4 --rho-min 1.5 --rho-max 1.2",

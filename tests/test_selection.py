@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,13 +11,14 @@ from chebsylv import (
     DominationError,
     EProfile,
     e_profile,
+    list_dropped_pairs,
     select_terms,
     selection_coefficients,
     selection_rows,
     selection_step_function,
 )
 from chebsylv.scheme import Scheme
-from chebsylv.selection import BLOCK_PERIOD, _select, pair_pattern
+from chebsylv.selection import BLOCK_PERIOD, MAX_KEPT_PAIRS, _select, pair_pattern
 from fractions import Fraction
 import random
 
@@ -117,7 +120,7 @@ def test_boundary_ratio_is_kept(profiles):
 def test_dropped_pairs_have_small_ratio(profiles):
     p = profiles["nu5"]
     sel = select_terms(p, "lower", 1.2)
-    assert all(n / m < 1.2 for m, n in sel.dropped_pairs)
+    assert all(n / m < 1.2 for m, n in list_dropped_pairs(p, sel))
     assert all(n / m >= 1.2 for m, n in sel.kept_pairs)
 
 
@@ -127,7 +130,7 @@ def test_exclude_removes_pair(profiles):
     assert (281, 310) in base.kept_pairs
     excl = select_terms(p, "lower", 1.1, exclude=((281, 310),))
     assert (281, 310) not in excl.kept_pairs
-    assert (281, 310) in excl.dropped_pairs
+    assert (281, 310) in list_dropped_pairs(p, excl)
 
 
 def test_max_index_truncates(profiles):
@@ -176,7 +179,7 @@ def test_step_function_detects_bad_selection(profiles):
         rho=sel.rho,
         leading_n=None,
         kept_pairs=((2, 29),),  # removes far too much mass
-        dropped_pairs=(),
+        dropped_pairs=0,
         standalones=(),
         scan_end=sel.scan_end,
     )
@@ -194,7 +197,8 @@ def test_selection_coefficients_exact(profiles):
 
 def test_selection_rows_statuses(profiles):
     p = profiles["nu4"]
-    rows = selection_rows(select_terms(p, "lower", 1.5))
+    sel = select_terms(p, "lower", 1.5)
+    rows = selection_rows(sel, list_dropped_pairs(p, sel))
     statuses = {status for _, _, status in rows}
     assert statuses <= {"leading", "kept", "dropped", "standalone"}
     assert (1, 1, "leading") in rows
@@ -276,7 +280,8 @@ def test_selection_matches_brute_force_matching(profiles, name, side, rho, max_i
     sel = select_terms(p, side, rho, max_index=max_index, exclude=exclude)
     kept, dropped, standalones, pairs = _brute_force(p, side, rho, sel.scan_end, max_index, exclude)
     assert list(sel.kept_pairs) == kept
-    assert list(sel.dropped_pairs) == dropped
+    assert list(list_dropped_pairs(p, sel)) == dropped
+    assert sel.dropped_pairs == len(dropped)
     assert list(sel.standalones) == standalones
     # no pair past the scan reaches rho; the scan stops at period BLOCK_PERIOD
     # or right after the last period holding a pair above rho
@@ -321,7 +326,8 @@ def test_selection_matches_brute_force_on_random_schemes():
                 rho = sel.rho
                 kept, dropped, standalones, _ = _brute_filter(*matched, rho, sel.scan_end)
                 assert list(sel.kept_pairs) == kept, (s.terms, side, rho)
-                assert list(sel.dropped_pairs) == dropped, (s.terms, side, rho)
+                assert list(list_dropped_pairs(p, sel)) == dropped, (s.terms, side, rho)
+                assert sel.dropped_pairs == len(dropped), (s.terms, side, rho)
                 assert list(sel.standalones) == standalones, (s.terms, side, rho)
 
 
@@ -383,3 +389,78 @@ def test_rho_near_one_exceeds_the_pair_cap(profiles):
     # about 5 * 10^5 kept pairs: refused before any pair is enumerated
     with pytest.raises(CapacityError):
         select_terms(profiles["nu1"], "lower", 1.000001)
+
+
+def dense_select(pattern, rho, max_index=None, exclude=()):
+    """_select that lists every scanned pair and sorts them all before
+    filtering: (kept_pairs, dropped_pairs, standalones, scan_end)."""
+    period, (bm, bn), (pm, pn) = pattern.period, pattern.block.T, pattern.prefix.T
+    reach = (bn - rho * bm) / ((rho - 1) * period)
+    kept_count = np.sum(np.floor(reach[reach >= 0]) + 1) + np.count_nonzero(pn / pm >= rho)
+    if kept_count > MAX_KEPT_PAIRS:
+        raise CapacityError(f"about {int(kept_count)} pairs")
+
+    def exceeds(k: int) -> bool:
+        return bool(((bn + k * period) / (bm + k * period) > rho).any())
+
+    k_end = max(0, math.ceil(reach.max())) if reach.size else 0
+    while exceeds(k_end):
+        k_end += 1
+    while k_end > 0 and not exceeds(k_end - 1):
+        k_end -= 1
+    shifts = np.arange(k_end + 1, dtype=np.int64)[:, None] * period
+    m = np.concatenate([pm, (bm + shifts).ravel()])
+    n = np.concatenate([pn, (bn + shifts).ravel()])
+    order = np.lexsort((n, m))
+    m, n = m[order], n[order]
+    keep = n / m >= rho
+    for em, en in exclude:
+        keep &= (m != em) | (n != en)
+    if max_index is not None:
+        keep &= m <= max_index
+    return (
+        tuple(zip(m[keep].tolist(), n[keep].tolist())),
+        tuple(zip(m[~keep].tolist(), n[~keep].tolist())),
+        tuple(u for u in pattern.standalones if max_index is None or u <= max_index),
+        (BLOCK_PERIOD + k_end) * period,
+    )
+
+
+def _tie(pattern):
+    """The block pair of largest ratio shifted by two periods, and its ratio
+    as a threshold that this pair sits exactly on."""
+    m, n = max(pattern.block.tolist(), key=lambda pr: pr[1] / pr[0])
+    m, n = m + 2 * pattern.period, n + 2 * pattern.period
+    return (m, n), n / m
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_select_matches_dense_scan(profiles, name):
+    # near rho = 1 nu8 drops 1.5 million pairs on each side, nu7 430,000
+    for side in ("lower", "upper"):
+        pattern = pair_pattern(profiles[name], side)
+        pair, tie = _tie(pattern)
+        for rho in (1.0003, 1.002, 1.02, 1.2, tie):
+            sel = _select(pattern, rho)
+            kept, dropped, standalones, scan_end = dense_select(pattern, rho)
+            case = (name, side, rho)
+            assert sel.kept_pairs == kept, case
+            assert sel.dropped_pairs == len(dropped), case
+            assert sel.standalones == standalones, case
+            assert sel.scan_end == scan_end, case
+        assert pair in _select(pattern, tie).kept_pairs, (name, side)
+
+
+def test_select_memory_near_the_pair_cap(profiles):
+    # nu8's lower side at rho = 1.0003 keeps 8,340 pairs and scans 1.5
+    # million; the scan arrays peak near 37 MB, where a tuple per scanned
+    # pair took 250 MB
+    pattern = pair_pattern(profiles["nu8"], "lower")
+    tracemalloc.start()
+    try:
+        sel = _select(pattern, 1.0003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sel.kept_pairs) == 8340 and sel.dropped_pairs == 1_496_938
+    assert peak < 75e6

@@ -114,7 +114,7 @@ def test_selection_bounds_detect_violation(tables_10k, profiles):
         rho=1.5,
         leading_n=None,
         kept_pairs=((2, 11),),  # subtracts psi(x/2): far below V
-        dropped_pairs=(),
+        dropped_pairs=0,
         standalones=(),
         scan_end=upper.scan_end,
     )
