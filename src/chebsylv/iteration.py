@@ -107,11 +107,6 @@ def _spectrum(tr: Fraction, det: Fraction) -> tuple[tuple[complex, complex], boo
     return ((t - root) / 2, (t + root) / 2), abs(det) < 1 and abs(tr) < 1 + det
 
 
-def convergence(rec: AffineRecurrence) -> tuple[tuple[complex, complex], bool]:
-    """Floating eigenvalues plus an exact spectral-radius-below-1 verdict."""
-    return _spectrum(rec.m11 + rec.m22, rec.m11 * rec.m22 - rec.m12 * rec.m21)
-
-
 def fixed_point(rec: AffineRecurrence) -> IterationResult:
     """Solve (I - M)(a, b) = (upper_A, k lower_A) exactly.
 

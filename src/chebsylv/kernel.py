@@ -1,4 +1,4 @@
-"""Sieve tables and summatory functions: Lambda, mu, psi, T, pi.
+"""Sieve tables and summatory functions: Lambda, mu, psi, pi.
 
 Everything here is a desk-scale exact oracle: an Eratosthenes sieve up to
 ``limit`` whose Python loop runs only over the primes p <= sqrt(limit), with
@@ -109,26 +109,11 @@ def pi_count(x: float, tables: SieveTables) -> int:
     return int(tables.pi_prefix[n])
 
 
-def chebyshev_T(x: float) -> float:
-    """T(x) = sum of ln n over n <= x = ln(floor(x)!)."""
-    if x < 0:
-        raise ValueError("T requires x >= 0")
-    n = math.floor(x)
-    if n < 2:
-        return 0.0
-    return math.fsum(math.log(k) for k in range(2, n + 1))
-
-
 def log_table(limit: int) -> np.ndarray:
     """Table l[n] = ln n for n = 1..limit, with l[0] = 0."""
     t = np.zeros(limit + 1, dtype=np.float64)
     t[1:] = np.log(np.arange(1, limit + 1, dtype=np.float64))
     return t
-
-
-def log_prefix(limit: int) -> np.ndarray:
-    """Prefix table t[n] = T(n) for n = 0..limit."""
-    return np.cumsum(log_table(limit))
 
 
 def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:

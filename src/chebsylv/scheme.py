@@ -112,13 +112,6 @@ class EProfile:
     e_max: int
     first_occurrence: dict[int, int]
 
-    def value_at(self, x: int) -> int:
-        """E(x) for any integer x >= 1, by periodic extension."""
-        return int(self.values[(x - 1) % self.period])
-
-    def values_at(self, xs: np.ndarray) -> np.ndarray:
-        return self.values[(xs - 1) % self.period]
-
 
 def e_profile(s: Scheme) -> EProfile:
     """Compute E over one full period; requires the cancellation condition."""

@@ -274,40 +274,39 @@ class DominationReport:
 def selection_step_function(
     sel: TermSelection, profile: EProfile, strict: bool = True
 ) -> DominationReport:
-    """Build the chi-step dominator of a selection and verify it against E.
+    """Check the chi-step dominator of a selection against E at every x >= 1.
 
     Lower side: L(x) = chi(x) - chi(x/N) + sum kept [chi(x/m) - chi(x/n)]
-    - sum chi(x/u); checks L <= E pointwise on [1, 2*scan_end] and that the
-    tail constant is <= e_min. Upper side symmetric with U >= E and e_max.
-    Raises DominationError on failure unless strict=False.
+    - sum chi(x/u) <= E; upper side U >= E. L is constant between term indices
+    and from the last one on, so each piece meets the extreme of E over it,
+    read from two periods of E. Raises DominationError unless strict=False.
     """
-    hi = 2 * sel.scan_end
-    k, sign = np.array(bound_terms(sel), dtype=np.int64).T
-    deltas = np.zeros(hi + 1, dtype=np.int64)
-    np.add.at(deltas, k, sign)  # every term sits at k <= scan_end
-    tail = int(sign.sum())
-    step = np.cumsum(deltas[1:])
-    xs = np.arange(1, hi + 1)
-    e_vals = profile.values_at(xs)
-    if sel.side == "lower":
-        gap, tail_ok = e_vals - step, tail <= profile.e_min
-    else:
-        gap, tail_ok = step - e_vals, tail >= profile.e_max
-    worst = int(gap.min())
-    ok = worst >= 0 and tail_ok
-    witness = int(xs[int(gap.argmin())]) if worst < 0 else None
+    steps: dict[int, int] = {}
+    for k, sign in bound_terms(sel):
+        steps[k] = steps.get(k, 0) + sign
+    starts = sorted(steps)
+    s = 1 if sel.side == "lower" else -1  # the upper side checks -U <= -E
+    e = s * np.concatenate((profile.values, profile.values))
+    period, level, worst, witness = profile.period, 0, 0, None
+    for k, end in zip(starts, starts[1:] + [starts[-1] + period]):
+        level += steps[k]
+        window = e[(k - 1) % period :][: min(end - k, period)]
+        i = int(window.argmin())  # the first x of the piece where E is extreme
+        gap = int(window[i]) - s * level
+        if gap < worst:
+            worst, witness = gap, k + i
     report = DominationReport(
         side=sel.side,
-        ok=ok,
-        max_violation=max(0, -worst),
+        ok=worst >= 0,
+        max_violation=-worst,
         witness_x=witness,
-        tail=tail,
-        tail_ok=tail_ok,
+        tail=level,
+        tail_ok=gap >= 0,  # the tail piece spans a whole period
     )
-    if strict and not ok:
+    if strict and not report.ok:
         raise DominationError(
             f"{sel.side} selection at rho={sel.rho} fails domination "
-            f"(violation {report.max_violation} at x={witness}, tail_ok={tail_ok})"
+            f"(violation {report.max_violation} at x={witness}, tail_ok={report.tail_ok})"
         )
     return report
 

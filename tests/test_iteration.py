@@ -7,7 +7,6 @@ from chebsylv import (
     IterationError,
     build_recurrence,
     constant_A,
-    convergence,
     fixed_point,
     iterate,
     select_terms,
@@ -74,7 +73,8 @@ def test_convergence_exact_jury_agrees_with_eigenvalues(profiles):
     for name in ("cheb", "nu4", "nu5", "nu6"):
         for rho in (1.2, 1.5):
             rec = _recurrence(profiles, name, rho)
-            eigs, stable = convergence(rec)
+            fp = fixed_point(rec)
+            eigs, stable = fp.eigenvalues, fp.converges
             assert stable == (max(abs(z) for z in eigs) < 1)
 
 

@@ -8,15 +8,14 @@ from chebsylv import (
     CapacityError,
     OutOfRangeError,
     build_sieve,
-    chebyshev_T,
     check_convolution_identities,
     lcm_identity_check,
-    log_prefix,
     pi_count,
     psi,
     psi_pi_bracket,
 )
 from chebsylv.kernel import SieveTables, lcm_identity_failures
+from oracles import chebyshev_T, log_prefix
 
 
 def brute_lambda(n: int) -> float:

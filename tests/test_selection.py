@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,14 @@ from chebsylv import (
     selection_step_function,
 )
 from chebsylv.scheme import Scheme
-from chebsylv.selection import BLOCK_PERIOD, MAX_KEPT_PAIRS, _select, pair_pattern
+from chebsylv.selection import (
+    BLOCK_PERIOD,
+    MAX_KEPT_PAIRS,
+    DominationReport,
+    _select,
+    bound_terms,
+    pair_pattern,
+)
 from fractions import Fraction
 import random
 
@@ -55,7 +62,7 @@ def test_jump_stream_matches_E_differences(profiles):
         for j in stream:
             deltas[j.position] += j.sign
         rebuilt = np.cumsum(deltas[1:])
-        assert np.array_equal(rebuilt, p.values_at(np.arange(1, 2 * p.period + 1)))
+        assert np.array_equal(rebuilt, np.tile(p.values, 2))
 
 
 def test_jump_stream_expands_multiplicities(profiles):
@@ -187,6 +194,97 @@ def test_step_function_detects_bad_selection(profiles):
         selection_step_function(bad, p)
     report = selection_step_function(bad, p, strict=False)
     assert not report.ok and report.witness_x is not None
+
+
+def dense_step_function(sel, profile):
+    """selection_step_function by building L and E at every x in
+    [1, 2 * scan_end] and comparing the tail level with e_min (upper: e_max);
+    every term must sit at k <= 2 * scan_end."""
+    hi = 2 * sel.scan_end
+    k, sign = np.array(bound_terms(sel), dtype=np.int64).T
+    deltas = np.zeros(hi + 1, dtype=np.int64)
+    np.add.at(deltas, k, sign)
+    tail = int(sign.sum())
+    step = np.cumsum(deltas[1:])
+    xs = np.arange(1, hi + 1)
+    e_vals = profile.values[(xs - 1) % profile.period]
+    if sel.side == "lower":
+        gap, tail_ok = e_vals - step, tail <= profile.e_min
+    else:
+        gap, tail_ok = step - e_vals, tail >= profile.e_max
+    worst = int(gap.min())
+    return DominationReport(
+        side=sel.side,
+        ok=worst >= 0 and tail_ok,
+        max_violation=max(0, -worst),
+        witness_x=int(xs[int(gap.argmin())]) if worst < 0 else None,
+        tail=tail,
+        tail_ok=tail_ok,
+    )
+
+
+def _mutants(sel):
+    """sel, then sel with its first pair dropped, with that pair's n raised
+    by 1, with its first standalone dropped (sel again when it has none) and
+    with a (7, 5) pair added."""
+    out = [sel]
+    if sel.kept_pairs:
+        (m, n), rest = sel.kept_pairs[0], sel.kept_pairs[1:]
+        out += [replace(sel, kept_pairs=rest), replace(sel, kept_pairs=((m, n + 1),) + rest)]
+    return out + [
+        replace(sel, standalones=sel.standalones[1:]),
+        replace(sel, kept_pairs=sel.kept_pairs + ((7, 5),)),
+    ]
+
+
+def test_step_function_matches_dense_check(profiles):
+    rhos = (1.003, 1.02, 1.1, 1.2, 1.5, 2.0)
+    cases = [(name, p, rho) for name, p in profiles.items() for rho in rhos]
+    cases += [(s.terms, e_profile(s), rho) for s in _RANDOM_SCHEMES for rho in rhos[2:]]
+    checked = failing = 0
+    for name, p, rho in cases:
+        for side in ("lower", "upper"):
+            for sel in _mutants(select_terms(p, side, rho)):
+                report = selection_step_function(sel, p, strict=False)
+                assert report == dense_step_function(sel, p), (name, side, rho, sel)
+                checked += 1
+                failing += not report.ok
+    assert checked >= 4_500 and failing >= checked / 5
+
+
+def test_step_function_checks_terms_past_twice_scan_end(profiles):
+    # the piece from 3 * scan_end on is the tail: one more standalone there
+    # only moves the upper bound further above E
+    p = profiles["nu4"]
+    sel = select_terms(p, "upper", 1.3)
+    far = replace(sel, standalones=sel.standalones + (3 * sel.scan_end,))
+    report = selection_step_function(far, p)
+    assert report.ok and report.tail == selection_step_function(sel, p).tail + 1
+    # a pair (3 * scan_end, 3 * scan_end + P) lifts L by 1 over one whole
+    # period, where E reaches 0 at its first x, 3 * scan_end itself
+    p = profiles["cheb"]
+    sel = select_terms(p, "lower", 1.3)
+    end = 3 * sel.scan_end
+    far = replace(sel, kept_pairs=sel.kept_pairs + ((end, end + p.period),))
+    report = selection_step_function(far, p, strict=False)
+    assert (end, report.ok, report.max_violation, report.witness_x) == (360, False, 1, 360)
+    assert report.tail_ok
+
+
+def test_step_function_memory_near_the_pair_cap(profiles):
+    # nu8's lower side at rho = 1.0003 has scan_end 7,687,680; the check
+    # reads two periods of E and one window per piece (1.9 MB), where L and
+    # E at every x up to 2 * scan_end took 587 MB
+    p = profiles["nu8"]
+    sel = select_terms(p, "lower", 1.0003)
+    tracemalloc.start()
+    try:
+        report = selection_step_function(sel, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and sel.scan_end == 7_687_680
+    assert peak < 16e6
 
 
 def test_selection_coefficients_exact(profiles):

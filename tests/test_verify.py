@@ -6,8 +6,6 @@ import pytest
 
 from chebsylv import (
     BUILTINS,
-    chebyshev_T,
-    log_prefix,
     constant_A,
     select_terms,
     verify_V_identities,
@@ -16,6 +14,8 @@ from chebsylv import (
     verify_psi_pi,
     verify_selection_bounds,
 )
+from chebsylv.kernel import SieveTables
+from oracles import chebyshev_T, log_prefix
 
 
 def brute_v_devs(s, x_max, tables, profile) -> np.ndarray:
@@ -25,9 +25,10 @@ def brute_v_devs(s, x_max, tables, profile) -> np.ndarray:
     lhs = np.zeros(x_max)
     for k, w in s.terms:
         lhs += w * t[ks // k]
+    e = profile.values
     return np.array(
         [
-            abs(lhs[x - 1] - float(np.dot(tables.lam[1 : x + 1], profile.values_at(x // ks[:x]))))
+            abs(lhs[x - 1] - float(np.dot(tables.lam[1 : x + 1], e[(x // ks[:x] - 1) % len(e)])))
             for x in range(1, x_max + 1)
         ]
     )
@@ -204,6 +205,28 @@ def test_final_bounds_bad_constants(tables_1m):
     report = verify_final_bounds(1.1, 1.2, 10**6, tables_1m)
     assert not report.passed
     assert report.witness_x is not None
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["before", "at"])
+def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
+    # psi(x) = x but for one dip to a x - 1 at x_max // 10 + offset: C_low
+    # peaks at the dip, and C_high = -(b - 1) x / ln^2 x peaks at x = 100
+    x_max, a, b = 2000, 0.9, 1.1
+    dip = x_max // 10 + offset
+    psi_prefix = np.arange(x_max + 1, dtype=np.float64)
+    psi_prefix[dip] = a * dip - 1
+    unused = np.zeros(x_max + 1)
+    tables = SieveTables(
+        limit=x_max,
+        lam=unused,
+        moebius=unused,
+        is_prime=unused,
+        psi_prefix=psi_prefix,
+        pi_prefix=unused,
+    )
+    report = verify_final_bounds(a, b, x_max, tables)
+    assert report.extras["C_low"] > 0 > report.extras["C_high"]
+    assert (report.passed, report.witness_x) == ((True, None) if offset < 0 else (False, dip))
 
 
 def test_final_bounds_requires_a_below_b(tables_10k):
