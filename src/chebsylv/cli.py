@@ -64,14 +64,17 @@ def _fields(obj) -> dict:
     return {_RENAME.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
 
 
+_PLAIN = frozenset((int, str, bool, type(None)))
+
+
 def _jsonable(value):
     """Floats at 12 significant digits, Fractions as 'p/q', containers recursed."""
+    if type(value) in _PLAIN:  # most values, e.g. the ints of every listed pair
+        return value
     if isinstance(value, Fraction):
         return _fraction_text(value)
     if isinstance(value, np.generic):
         return _jsonable(value.item())
-    if isinstance(value, bool) or value is None:
-        return value
     if is_dataclass(value):
         return _jsonable(_fields(value))
     if isinstance(value, float):
@@ -101,8 +104,7 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(_jsonable(payload), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

@@ -105,16 +105,28 @@ class EProfile:
 
     period: int
     values: np.ndarray
-    jumps: tuple[tuple[int, int], ...]
     n: int
     m: int | None
     e_min: int
     e_max: int
-    first_occurrence: dict[int, int]
+
+    @property
+    def jumps(self) -> tuple[tuple[int, int], ...]:
+        """(x, E(x) - E(x-1)) at every x of the period where E moves."""
+        deltas = np.diff(self.values, prepend=0)
+        at = np.flatnonzero(deltas)
+        return tuple(zip((at + 1).tolist(), deltas[at].tolist()))
+
+    @property
+    def first_occurrence(self) -> dict[int, int]:
+        """The first x of the period at which E takes each of its levels."""
+        levels, first = np.unique(self.values, return_index=True)
+        return dict(zip(levels.tolist(), (first + 1).tolist()))
 
 
 def e_profile(s: Scheme) -> EProfile:
-    """Compute E over one full period; requires the cancellation condition."""
+    """Compute E over one full period; requires the cancellation condition.
+    E(x) - E(x-1) is nu summed over the divisors of x: one strided add per term."""
     total = cancellation_check(s)
     if total != 0:
         raise SchemeError(
@@ -125,32 +137,22 @@ def e_profile(s: Scheme) -> EProfile:
     if period > PERIOD_CAP:
         raise CapacityError(f"period {period} exceeds cap {PERIOD_CAP}")
 
-    xs = np.arange(1, period + 1, dtype=np.int64)
     values = np.zeros(period, dtype=np.int64)
     for k, w in s.terms:
-        values += w * (xs // k)
+        values[k - 1 :: k] += w
+    np.cumsum(values, out=values)
     if values[-1] != 0:
         raise SchemeError("internal: E(period) != 0 despite cancellation")
 
-    deltas = np.diff(values, prepend=0)
-    jump_pos = np.flatnonzero(deltas)
-    jumps = tuple(zip((jump_pos + 1).tolist(), deltas[jump_pos].tolist()))
-
-    below = np.nonzero(values < 1)[0]
-    n = int(below[0] + 1) if below.size else period + 1
-    above = np.nonzero(values > 1)[0]
-    m = int(above[0] + 1) if above.size else None
-
-    levels, first = np.unique(values, return_index=True)
+    above = values > 1
+    m = int(above.argmax())
     return EProfile(
         period=period,
         values=values,
-        jumps=jumps,
-        n=n,
-        m=m,
-        e_min=int(levels[0]),
-        e_max=int(levels[-1]),
-        first_occurrence=dict(zip(levels.tolist(), (first + 1).tolist())),
+        n=int((values < 1).argmax()) + 1,  # E(period) = 0, so some x has E < 1
+        m=m + 1 if above[m] else None,
+        e_min=int(values.min()),
+        e_max=int(values.max()),
     )
 
 

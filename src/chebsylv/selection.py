@@ -94,7 +94,12 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
     in turn up and down, so that open is the step just before the close
     among the steps on its edge, in walk order; a close with no open there
     is the first crossing of its edge, a new minimum, and stays standalone.
-    So one stable sort of the steps by edge matches every close at once.
+    So one stable sort of the steps by edge matches every close at once: the
+    walk stays in [E_min, E_max] (lower) or [1 - E_max, 1 - E_min] (upper), so
+    the edges fit the narrowest signed type holding +-(max |E| + 1) (8 bits
+    for every built-in), which numpy sorts with a linear radix (counting)
+    sort up to 16 bits. A partner array, indexed by close, lists the pairs in closing
+    order without a second sort.
 
     From period 2 on the walk is periodic and starts every period at the same
     level. Since E >= 1 on [1, N) and E(P) = 0, the walk reaches its lowest
@@ -109,36 +114,36 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
     jump = np.empty_like(values)
     jump[0] = values[0]
     np.subtract(values[1:], values[:-1], out=jump[1:])
-    at = np.flatnonzero(jump)
+    at = np.flatnonzero(jump != 0)
     jump = jump[at]
     size = np.abs(jump)
     x = np.repeat(at + 1, size)  # one period's unit jumps, in walk order
+    pos = np.concatenate([x + q * period for q in range(BLOCK_PERIOD - 1)])
     # +1 opens, -1 closes; the leading terms become 0, which no close pairs with
-    unit = np.repeat(jump // size if lower else -jump // size, size)
+    unit = np.repeat(np.sign(jump if lower else -jump).astype(np.int8), size)
     step = np.concatenate((unit,) * (BLOCK_PERIOD - 1))
     step[0] = 0  # the leading psi(x) term
     if lower:
         step[np.searchsorted(x, profile.n)] = 0  # and psi(x/N)
-    edge = np.cumsum(step)
+    bound = max(-profile.e_min, profile.e_max) + 1  # every edge lies in [-bound, bound]
+    edge = np.cumsum(step, dtype=np.min_scalar_type(-bound - 1))
     edge -= step > 0  # an up-step to level h crosses edge h - 1
     order = np.argsort(edge, kind="stable")
     s, e = step[order], edge[order]
     hit = np.flatnonzero((s[1:] < 0) & (s[:-1] > 0) & (e[1:] == e[:-1]))
-    closes = order[hit + 1]
-    by_close = np.argsort(closes)
-    ends = np.stack((order[hit][by_close], closes[by_close]), axis=1)
-    s[hit + 1] = 0  # leaves the closes that found no open
-    alone = np.sort(order[s < 0])
-    units = len(x)
-    prefix = x[ends % units] + ends // units * period
-    last = prefix[prefix[:, 1] > (BLOCK_PERIOD - 2) * period]  # closed in the last period
+    partner = np.full(step.size, -1)  # the open each close pairs with
+    partner[order[hit + 1]] = order[hit]
+    closes = np.flatnonzero(partner >= 0)
+    prefix = np.empty((closes.size, 2), dtype=pos.dtype)
+    prefix[:, 0], prefix[:, 1] = pos[partner[closes]], pos[closes]
+    last = prefix[np.searchsorted(closes, (BLOCK_PERIOD - 2) * x.size) :]  # closed in period 3
     return PairPattern(
         side=side,
         period=period,
         leading_n=profile.n if lower else None,
         prefix=prefix,
         block=last + period,
-        standalones=tuple((x[alone % units] + alone // units * period).tolist()),
+        standalones=tuple(pos[(step < 0) & (partner < 0)].tolist()),
     )
 
 

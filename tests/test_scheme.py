@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from chebsylv import (
     BUILTINS,
+    CapacityError,
     SchemeError,
     base_bounds,
     cancellation_check,
@@ -16,7 +17,8 @@ from chebsylv import (
     render_scheme,
     resolve_scheme,
 )
-from oracles import value_at
+from chebsylv.scheme import PERIOD_CAP
+from oracles import RANDOM_SCHEMES, floor_division_profile, value_at
 
 EXPECTED_METRICS = {
     # name: (period, N, M, e_min, e_max)
@@ -122,6 +124,34 @@ def test_profile_periodicity(profiles):
     xs = np.arange(1, 4 * p.period + 1)
     vals = p.values[(xs - 1) % p.period]
     assert np.array_equal(vals[: p.period], vals[p.period : 2 * p.period])
+
+
+def test_profile_matches_floor_division_oracle(profiles):
+    cases = [(name, profiles[name], s) for name, s in BUILTINS.items()]
+    cases += [(s.terms, e_profile(s), s) for s in RANDOM_SCHEMES]
+    for name, p, s in cases:
+        expected = floor_division_profile(s)
+        assert p.values.dtype == expected["values"].dtype, name
+        assert np.array_equal(p.values, expected.pop("values")), name
+        for key, value in expected.items():
+            assert getattr(p, key) == value, (name, key)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1:1,2:-1", SchemeError),  # fails the cancellation condition
+        (f"1:1,{PERIOD_CAP + 1}:{-(PERIOD_CAP + 1)}", CapacityError),
+        ("1:1,1009:-1,1013:-1,1019:-1,1031:1", SchemeError),  # checked before the period
+    ],
+)
+def test_profile_errors_match_floor_division_oracle(text, error):
+    s = parse_scheme(text)
+    with pytest.raises(error) as expected:
+        floor_division_profile(s)
+    with pytest.raises(error) as got:
+        e_profile(s)
+    assert str(got.value) == str(expected.value)
 
 
 def test_profile_jumps_reconstruct_values(profiles):

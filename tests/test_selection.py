@@ -27,7 +27,8 @@ from chebsylv.selection import (
     pair_pattern,
 )
 from fractions import Fraction
-import random
+
+from oracles import RANDOM_SCHEMES
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,10 @@ def jump_stream(profile: EProfile, up_to: int) -> list[UnitJump]:
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
     out: list[UnitJump] = []
-    p = profile.period
+    p, jumps = profile.period, profile.jumps  # derived on each access
     base = 0
     while base < up_to:
-        for pos, delta in profile.jumps:
+        for pos, delta in jumps:
             at = base + pos
             if at > up_to:
                 break
@@ -240,7 +241,7 @@ def _mutants(sel):
 def test_step_function_matches_dense_check(profiles):
     rhos = (1.003, 1.02, 1.1, 1.2, 1.5, 2.0)
     cases = [(name, p, rho) for name, p in profiles.items() for rho in rhos]
-    cases += [(s.terms, e_profile(s), rho) for s in _RANDOM_SCHEMES for rho in rhos[2:]]
+    cases += [(s.terms, e_profile(s), rho) for s in RANDOM_SCHEMES for rho in rhos[2:]]
     checked = failing = 0
     for name, p, rho in cases:
         for side in ("lower", "upper"):
@@ -392,29 +393,8 @@ def test_selection_matches_brute_force_matching(profiles, name, side, rho, max_i
     )
 
 
-def _random_cancelling_schemes(count, seed):
-    """Schemes with weights on a few divisors of L in [12, 840], closed by a
-    weight of at most 3 in size at L so that sum nu(k)/k = 0."""
-    rng = random.Random(seed)
-    schemes = set()
-    while len(schemes) < count:
-        big = rng.randint(12, 840)
-        divisors = [d for d in range(2, big) if big % d == 0]
-        weights = {1: 1}
-        for d in rng.sample(divisors, min(len(divisors), rng.randint(1, 5))):
-            weights[d] = rng.choice((-2, -1, -1, 1, 1, 2))
-        closing = -big * sum(Fraction(w, k) for k, w in weights.items())
-        if closing.denominator == 1 and 0 < abs(closing) <= 3:
-            weights[big] = int(closing)
-            schemes.add(tuple(sorted((k, w) for k, w in weights.items() if w)))
-    return [Scheme(terms) for terms in sorted(schemes)]
-
-
-_RANDOM_SCHEMES = _random_cancelling_schemes(200, seed=7)
-
-
 def test_selection_matches_brute_force_on_random_schemes():
-    for s in _RANDOM_SCHEMES:
+    for s in RANDOM_SCHEMES:
         p = e_profile(s)
         for side in ("lower", "upper"):
             pattern = pair_pattern(p, side)  # select_terms without re-matching per rho
@@ -434,7 +414,7 @@ def test_pairs_repeat_from_period_three(profiles, side):
     # what pair_pattern takes without a check: no standalone after period 1,
     # and every later period closes the period-3 pairs shifted by P
     cases = list(profiles.items())
-    cases += [(s.terms, e_profile(s)) for s in _RANDOM_SCHEMES[:50]]
+    cases += [(s.terms, e_profile(s)) for s in RANDOM_SCHEMES[:50]]
     for name, p in cases:
         period = p.period
         pairs, alone = _brute_match(p, side, 8 * period)
@@ -473,7 +453,7 @@ def loop_pair_pattern(p, side):
 
 
 def test_pair_pattern_matches_stack_loop(profiles):
-    cases = list(profiles.items()) + [(s.terms, e_profile(s)) for s in _RANDOM_SCHEMES]
+    cases = list(profiles.items()) + [(s.terms, e_profile(s)) for s in RANDOM_SCHEMES]
     for name, p in cases:
         for side in ("lower", "upper"):
             pattern = pair_pattern(p, side)
@@ -481,6 +461,22 @@ def test_pair_pattern_matches_stack_loop(profiles):
             assert np.array_equal(pattern.prefix, prefix), (name, side)
             assert np.array_equal(pattern.block, block), (name, side)
             assert pattern.standalones == standalones, (name, side)
+
+
+@pytest.mark.parametrize("weight", [300, 70_000])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_pair_pattern_on_walks_wider_than_a_byte_and_16_bits(weight, side):
+    # E climbs to weight + 1 within each period, so the edge key of the sort
+    # needs 16 bits at 300 and 32 at 70,000; a key cut to 16 bits at 70,000
+    # lost 13,395 of the 210,008 lower prefix pairs
+    p = e_profile(Scheme(((1, 1), (2, -2), (3, weight), (6, -2 * weight))))
+    assert (p.e_min, p.e_max) == (0, weight + 1)
+    pattern = pair_pattern(p, side)
+    prefix, block, standalones = loop_pair_pattern(p, side)
+    assert np.array_equal(pattern.prefix, prefix)
+    assert np.array_equal(pattern.block, block)
+    assert pattern.standalones == standalones
+    assert len(prefix) == (3 * weight + 8 if side == "lower" else 2 * weight + 8)
 
 
 def test_rho_near_one_exceeds_the_pair_cap(profiles):
