@@ -1,9 +1,10 @@
 """Sieve tables and summatory functions: Lambda, mu, psi, pi.
 
-Everything here is a desk-scale exact oracle: an Eratosthenes sieve up to
-``limit`` whose Python loop runs only over the primes p <= sqrt(limit), with
-prefix sums, so that psi and pi queries are O(1) afterwards. The identity
-checks compare Dirichlet convolutions n by n in O(limit log limit).
+Everything here is a desk-scale exact oracle: a segmented Eratosthenes sieve
+up to ``limit`` whose Python loop runs, segment by segment, only over the
+primes p <= sqrt(limit), with prefix sums, so that psi and pi queries are
+O(1) afterwards. The identity checks compare Dirichlet convolutions n by n
+in O(limit log limit).
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import numpy as np
 
 SIEVE_CAP = 10**7
 LCM_CAP = 10**4
+
+# Entries per segment of build_sieve: the segment's int32 radical (1 MB) and
+# its slices of the tables stay in cache while every small prime strides them.
+_SEGMENT = 1 << 18
 
 
 class CapacityError(ValueError):
@@ -41,42 +46,71 @@ class SieveTables:
     pi_prefix: np.ndarray
 
 
+def _sieve_segment(lo: int, small_primes: np.ndarray, is_prime: np.ndarray, moebius: np.ndarray) -> None:
+    """Fill is_prime and moebius, the tables' slices for n = lo .. lo + len - 1,
+    from r(n), the product of -p over the primes p <= sqrt(limit) dividing n.
+
+    Every composite n <= limit has such a p, so n > sqrt(limit) is prime iff
+    r(n) = 1. A squarefree n has mu(n) = sign r(n) when |r(n)| = n, and
+    -sign r(n) when it also has one prime factor > sqrt(limit); the squares
+    p^2 then zero mu. Entries n <= sqrt(limit) of is_prime are the caller's.
+    """
+    rad = np.ones(len(is_prime), dtype=np.int32)
+    # the first multiple of p at or after lo, skipping n = 0
+    starts = small_primes if lo == 0 else (-lo) % small_primes
+    for p, start in zip(small_primes.tolist(), starts.tolist()):
+        rad[start::p] *= -p
+    np.equal(rad, 1, out=is_prime)
+    has_big = np.abs(rad) != np.arange(lo, lo + len(rad), dtype=np.int32)
+    np.copyto(moebius, np.where((rad < 0) != has_big, np.int8(-1), np.int8(1)))
+    squares = small_primes * small_primes
+    for q, start in zip(squares.tolist(), ((-lo) % squares).tolist()):
+        if start < len(rad):
+            moebius[start::q] = 0
+
+
 def build_sieve(limit: int) -> SieveTables:
-    """Sieve Lambda, mu, primality up to limit and attach prefix sums."""
+    """Sieve Lambda, mu, primality up to limit and attach prefix sums.
+
+    The primes p <= sqrt(limit) come from a small sieve; every segment of
+    _SEGMENT entries is then sieved by them in turn (_sieve_segment).
+    """
     if limit < 1:
         raise CapacityError("sieve limit must be >= 1")
     if limit > SIEVE_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
 
     root = math.isqrt(limit)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[: min(2, limit + 1)] = False
-    lam = np.zeros(limit + 1, dtype=np.float64)
-    moebius = np.ones(limit + 1, dtype=np.int8)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    small_primes = np.flatnonzero(small)
+    is_prime = np.empty(limit + 1, dtype=bool)
+    moebius = np.empty(limit + 1, dtype=np.int8)
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        _sieve_segment(lo, small_primes, is_prime[lo:hi], moebius[lo:hi])
+    is_prime[: root + 1] = small
     moebius[0] = 0
-    # the product of the primes p <= root that divide n: where it differs
-    # from n, n has a square factor (mu is 0 already) or one prime > root
-    rad = np.ones(limit + 1, dtype=np.int32)
-    for p in range(2, root + 1):
-        if not is_prime[p]:
-            continue
-        is_prime[p * p :: p] = False
+
+    lam = np.zeros(limit + 1, dtype=np.float64)
+    for p in small_primes.tolist():
         logp = math.log(p)
         pk = p * p
         while pk <= limit:
             lam[pk] = logp
             pk *= p
-        rad[p::p] *= p
-        moebius[p::p] *= -1
-        moebius[p * p :: p * p] = 0
-    moebius[rad != np.arange(limit + 1, dtype=np.int32)] *= -1
-    del rad
     primes = np.flatnonzero(is_prime)
     # math.log, not np.log: the two differ in the last bit at some primes.
     lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
 
     psi_prefix = np.cumsum(lam)
-    pi_prefix = np.cumsum(is_prime.astype(np.int64))
+    # summed in place: np.cumsum(is_prime, dtype=np.int64) casts into a
+    # second int64 table of its own
+    pi_prefix = is_prime.astype(np.int64)
+    np.cumsum(pi_prefix, out=pi_prefix)
     return SieveTables(
         limit=limit,
         lam=lam,
@@ -111,18 +145,19 @@ def pi_count(x: float, tables: SieveTables) -> int:
 
 def log_table(limit: int) -> np.ndarray:
     """Table l[n] = ln n for n = 1..limit, with l[0] = 0."""
-    t = np.zeros(limit + 1, dtype=np.float64)
-    t[1:] = np.log(np.arange(1, limit + 1, dtype=np.float64))
+    t = np.arange(limit + 1, dtype=np.float64)
+    np.log(t[1:], out=t[1:])
     return t
 
 
 def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum of f(d) g(n/d) over d | n, for n = 1..L (index 0 is 0).
 
-    f and g are float tables over 0..L. Each divisor d <= sqrt(L) with
-    f(d) != 0 adds f(d) g(1..L/d) along stride d; every larger d has a
-    cofactor j = n/d <= sqrt(L), and each such j with g(j) != 0 adds
-    g(j) f(d) for d in (sqrt(L), L/j] along stride j. O(L log L) work.
+    f and g are tables over 0..L (float64, or int8 like mu), summed in
+    float64. Each divisor d <= sqrt(L) with f(d) != 0 adds f(d) g(1..L/d)
+    along stride d; every larger d has a cofactor j = n/d <= sqrt(L), and
+    each such j with g(j) != 0 adds g(j) f(d) for d in (sqrt(L), L/j] along
+    stride j. O(L log L) work.
     """
     limit = len(f) - 1
     root = math.isqrt(limit)
@@ -140,9 +175,10 @@ def max_abs_prefix(diff: np.ndarray) -> tuple[float, int]:
 
     Returns (0.0, 0) when diff holds no n >= 1.
     """
-    dev = np.abs(np.cumsum(diff[1:]))
+    dev = np.cumsum(diff[1:])
     if dev.size == 0:
         return 0.0, 0
+    np.abs(dev, out=dev)
     i = int(dev.argmax())
     return float(dev[i]), i + 1
 
@@ -173,10 +209,14 @@ def check_convolution_identities(
     if tables is None or tables.limit < limit:
         tables = build_sieve(limit)
     lam = tables.lam[: limit + 1]
-    mu = tables.moebius[: limit + 1].astype(np.float64)
     logs = log_table(limit)
-    dev_t, _ = max_abs_prefix(dirichlet_convolution(lam, np.ones(limit + 1)) - logs)
-    dev_psi, _ = max_abs_prefix(lam - dirichlet_convolution(mu, logs))
+    ones = np.broadcast_to(np.float64(1.0), (limit + 1,))
+    lam_1 = dirichlet_convolution(lam, ones)
+    dev_t, _ = max_abs_prefix(np.subtract(lam_1, logs, out=lam_1))
+    del lam_1  # 8 B/n, freed before the second convolution
+    # mu stays int8: each mu(d) * ln and ln(j) * mu is the float64 product
+    mu_ln = dirichlet_convolution(tables.moebius[: limit + 1], logs)
+    dev_psi, _ = max_abs_prefix(np.subtract(lam, mu_ln, out=mu_ln))
     return ConvolutionReport(limit=limit, max_dev_T=dev_t, max_dev_psi=dev_psi)
 
 

@@ -95,7 +95,7 @@ def constant_A(s: Scheme) -> float:
     return -math.fsum(w * math.log(k) / k for k, w in s.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EProfile:
     """One period of E at integer arguments plus derived metrics.
 

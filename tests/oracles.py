@@ -9,6 +9,8 @@ import numpy as np
 
 from chebsylv.kernel import CapacityError, log_table
 from chebsylv.scheme import PERIOD_CAP, Scheme, SchemeError, cancellation_check, render_scheme
+from chebsylv.selection import bound_terms
+from chebsylv.verify import TOL, VerificationReport
 
 
 def chebyshev_T(x: float) -> float:
@@ -83,3 +85,59 @@ def random_cancelling_schemes(count, seed):
 
 
 RANDOM_SCHEMES = random_cancelling_schemes(200, seed=7)
+
+
+def _add_strided(out: np.ndarray, terms, g: np.ndarray) -> np.ndarray:
+    """out[n] += c_k g(n/k) for each (k, c_k) in terms and each multiple n of k."""
+    limit = len(out) - 1
+    for k, c in terms:
+        out[k::k] += c * g[1 : limit // k + 1]
+    return out
+
+
+def dense_selection_bounds(s, lower, upper, x_max, tables) -> VerificationReport:
+    """verify_selection_bounds in one dense pass: each side's per-n gap
+    differences as a length-x_max table, summed with one cumsum."""
+    dv = _add_strided(np.zeros(x_max + 1), s.terms, log_table(x_max))
+    sides = [  # the lower side copies dv before the upper side adds into it
+        _add_strided(-dv, bound_terms(lower), tables.lam),
+        _add_strided(dv, [(k, -c) for k, c in bound_terms(upper)], tables.lam),
+    ]
+    gaps = [np.cumsum(diff[1:], out=diff[1:]) for diff in sides]
+    peaks = [(float(gap.max()), int(gap.argmax()) + 1) for gap in gaps]
+    worst = max(peak for peak, _ in peaks)
+    return VerificationReport(
+        name=f"selection-bounds[{s.name or 'scheme'}@rho={lower.rho}]",
+        x_min=1,
+        x_max=x_max,
+        max_violation=max(0.0, worst),
+        passed=worst <= TOL,
+        witness_x=min(x for peak, x in peaks if peak == worst) if worst > TOL else None,
+    )
+
+
+def dense_final_bounds(a, b, x_max, tables) -> VerificationReport:
+    """verify_final_bounds in one dense pass over 100 <= x <= x_max."""
+    xs = np.arange(100, x_max + 1, dtype=np.float64)
+    ln2 = np.log(xs)
+    ln2 *= ln2
+    psi_v = tables.psi_prefix[100 : x_max + 1]
+    c_low = a * xs
+    c_low -= psi_v
+    c_low /= ln2
+    c_high = np.subtract(psi_v, np.multiply(xs, b, out=xs), out=xs)
+    c_high /= ln2
+    i_low = int(c_low.argmax())
+    i_high = int(c_high.argmax())
+    cutoff = x_max // 10 - 100  # the index of x = x_max // 10
+    passed = i_low < cutoff and i_high < cutoff
+    witness = None if passed else 100 + (i_low if i_low >= cutoff else i_high)
+    return VerificationReport(
+        name=f"final-bounds[a={a},b={b}]",
+        x_min=100,
+        x_max=x_max,
+        max_violation=float(max(c_low[i_low], c_high[i_high])),
+        passed=passed,
+        witness_x=witness,
+        extras={"C_low": float(c_low[i_low]), "C_high": float(c_high[i_high])},
+    )

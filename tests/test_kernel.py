@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from chebsylv import (
     psi,
     psi_pi_bracket,
 )
-from chebsylv.kernel import SieveTables, lcm_identity_failures
+from chebsylv.kernel import _SEGMENT, SieveTables, lcm_identity_failures
 from oracles import chebyshev_T, log_prefix
 
 
@@ -79,15 +80,30 @@ def brute_convolution_devs(limit: int, tables: SieveTables) -> tuple[float, floa
 
 
 # p^2 - 1 and p^2 for p = 2, 3, 5, 7, 11 bracket the points where a prime
-# joins the small-prime loop.
+# joins the small-prime loop; the limits around _SEGMENT end the sieve on
+# either side of a segment boundary.
 @pytest.mark.parametrize(
-    "limit", [1, 2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 10**5, 10**6]
+    "limit",
+    [1, 2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 10**5, 10**6]
+    + [_SEGMENT - 1, _SEGMENT, _SEGMENT + 1],
 )
 def test_sieve_bit_identical_to_loop_sieve(limit):
     got, ref = build_sieve(limit), loop_sieve(limit)
     for name in ("lam", "moebius", "is_prime", "psi_prefix", "pi_prefix"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_sieve_peak_memory_is_its_tables():
+    # lam, psi_prefix and pi_prefix at 8 B/n, moebius and is_prime at 1 B/n
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 26 * (limit + 1)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 30, 2000])

@@ -200,3 +200,10 @@ def test_base_bounds_no_lower_when_e_max_large(profiles):
 def test_value_at_periodic_reduction_property(x):
     p = e_profile(BUILTINS["nu2"])
     assert value_at(p, x) == direct_E(BUILTINS["nu2"], x)
+
+
+def test_profiles_compare_and_hash_by_identity():
+    # an ndarray field cannot take part in a generated __eq__ or __hash__
+    a, b = e_profile(BUILTINS["cheb"]), e_profile(BUILTINS["cheb"])
+    assert a == a and a != b
+    assert len({a, a, b}) == 2

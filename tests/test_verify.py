@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,14 @@ from chebsylv import (
     verify_selection_bounds,
 )
 from chebsylv.kernel import SieveTables
-from oracles import chebyshev_T, log_prefix
+from chebsylv.verify import _BLOCK
+from oracles import chebyshev_T, dense_final_bounds, dense_selection_bounds, log_prefix
+
+# x_max on either side of a block boundary, past several blocks, and one
+# ending inside a block
+BLOCK_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 10**5)
+# a pair (m, FAR) adds the lone term psi(x/m): psi(x/FAR) is 0 at every x here
+FAR = 10**9
 
 
 def brute_v_devs(s, x_max, tables, profile) -> np.ndarray:
@@ -53,6 +62,11 @@ def brute_selection_gaps(s, lower, upper, x_max, tables) -> np.ndarray:
     for m, n in upper.kept_pairs:
         up -= psi_p[xs // m] - psi_p[xs // n]
     return np.maximum(low - v, v - up)
+
+
+def _same_report(got, want):
+    """Every field equal, floats bit for bit (repr round-trips a float exactly)."""
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -207,26 +221,30 @@ def test_final_bounds_bad_constants(tables_1m):
     assert report.witness_x is not None
 
 
-@pytest.mark.parametrize("offset", [-1, 0], ids=["before", "at"])
+# For the larger x_max, x_max // 10 is the first x of the scan's second
+# block, so the dip before, at or past the cutoff straddles a block boundary.
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "past"])
 def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
     # psi(x) = x but for one dip to a x - 1 at x_max // 10 + offset: C_low
     # peaks at the dip, and C_high = -(b - 1) x / ln^2 x peaks at x = 100
-    x_max, a, b = 2000, 0.9, 1.1
-    dip = x_max // 10 + offset
-    psi_prefix = np.arange(x_max + 1, dtype=np.float64)
-    psi_prefix[dip] = a * dip - 1
-    unused = np.zeros(x_max + 1)
-    tables = SieveTables(
-        limit=x_max,
-        lam=unused,
-        moebius=unused,
-        is_prime=unused,
-        psi_prefix=psi_prefix,
-        pi_prefix=unused,
-    )
-    report = verify_final_bounds(a, b, x_max, tables)
-    assert report.extras["C_low"] > 0 > report.extras["C_high"]
-    assert (report.passed, report.witness_x) == ((True, None) if offset < 0 else (False, dip))
+    a, b = 0.9, 1.1
+    for x_max in (2000, 10 * (_BLOCK + 100)):
+        dip = x_max // 10 + offset
+        psi_prefix = np.arange(x_max + 1, dtype=np.float64)
+        psi_prefix[dip] = a * dip - 1
+        unused = np.zeros(x_max + 1)
+        tables = SieveTables(
+            limit=x_max,
+            lam=unused,
+            moebius=unused,
+            is_prime=unused,
+            psi_prefix=psi_prefix,
+            pi_prefix=unused,
+        )
+        report = verify_final_bounds(a, b, x_max, tables)
+        _same_report(report, dense_final_bounds(a, b, x_max, tables))
+        assert report.extras["C_low"] > 0 > report.extras["C_high"]
+        assert (report.passed, report.witness_x) == ((True, None) if offset < 0 else (False, dip))
 
 
 def test_final_bounds_requires_a_below_b(tables_10k):
@@ -251,3 +269,106 @@ def test_constant_A_values_match_table():
     }
     for name, value in expected.items():
         assert constant_A(BUILTINS[name]) == pytest.approx(value, abs=1e-3)
+
+
+def _one_term_mutants(lower, upper):
+    """The selection pair, then one side with one psi term dropped or added."""
+    return [
+        (lower, upper),
+        (dataclasses.replace(lower, leading_n=FAR), upper),
+        (dataclasses.replace(lower, kept_pairs=lower.kept_pairs + ((2, FAR),)), upper),
+        (lower, dataclasses.replace(upper, standalones=upper.standalones[1:])),
+        (lower, dataclasses.replace(upper, kept_pairs=upper.kept_pairs + ((3, FAR),))),
+    ]
+
+
+@pytest.mark.parametrize("name, rho", [("cheb", 1.2), ("nu4", 1.5), ("nu6", 1.2), ("nu8", 1.05)])
+def test_blocked_selection_bounds_match_dense_oracle(tables_1m, profiles, name, rho):
+    lower = select_terms(profiles[name], "lower", rho)
+    upper = select_terms(profiles[name], "upper", rho)
+    verdicts = []
+    for low, up in _one_term_mutants(lower, upper):
+        for x_max in BLOCK_EDGES:
+            got = verify_selection_bounds(BUILTINS[name], low, up, x_max, tables_1m)
+            _same_report(got, dense_selection_bounds(BUILTINS[name], low, up, x_max, tables_1m))
+            verdicts.append(got.passed)
+    assert verdicts[0] and not all(verdicts)
+
+
+def _spiked(tables, spikes):
+    """tables with Lambda(x) += h and Lambda(x + 1) -= h for each (x, h):
+    psi rises by h at x alone."""
+    lam = tables.lam.copy()
+    for x, h in spikes:
+        lam[x] += h
+        lam[x + 1] -= h
+    return dataclasses.replace(tables, lam=lam)
+
+
+# A spike at x on the lower side (up) or the upper side (down), far above
+# both gaps (each within a few thousand of 0 here), makes x the single worst
+# point, on the last or first x of a block. nu6 at rho = 1.2 has no term with
+# k = 2 or 3, so no other term sees the spike at an x <= x_max.
+@pytest.mark.parametrize("x0", [_BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("height", [1e6, -1e6], ids=["lower", "upper"])
+def test_selection_witness_on_a_block_boundary(tables_1m, profiles, x0, height):
+    lower = select_terms(profiles["nu6"], "lower", 1.2)
+    upper = select_terms(profiles["nu6"], "upper", 1.2)
+    tables = _spiked(tables_1m, [(x0, height)])
+    x_max = 3 * _BLOCK + 7
+    got = verify_selection_bounds(BUILTINS["nu6"], lower, upper, x_max, tables)
+    _same_report(got, dense_selection_bounds(BUILTINS["nu6"], lower, upper, x_max, tables))
+    assert not got.passed and got.witness_x == x0
+
+
+# With no scheme terms V = 0, and with Lambda made of +-1 spikes every sum is
+# an exact integer: the lower gap psi(x) and the upper gap -psi(x) reach 1
+# exactly at each of their spikes, so the peaks tie and the first x wins,
+# within a block, across blocks and across the two sides.
+@pytest.mark.parametrize(
+    "lower_at, upper_at, first",
+    [
+        ((_BLOCK, 2 * _BLOCK + 5), (_BLOCK + 1, _BLOCK + 2), _BLOCK),
+        ((2 * _BLOCK + 5,), (_BLOCK + 1, _BLOCK + 2), _BLOCK + 1),
+        ((7, 9), (), 7),
+    ],
+)
+def test_selection_ties_go_to_the_first_x(profiles, lower_at, upper_at, first):
+    x_max = 3 * _BLOCK + 7
+    zero = np.zeros(x_max + 2)
+    tables = _spiked(
+        SieveTables(limit=x_max, lam=zero, moebius=zero, is_prime=zero, psi_prefix=zero, pi_prefix=zero),
+        [(x, 1.0) for x in lower_at] + [(x, -1.0) for x in upper_at],
+    )
+    selected = select_terms(profiles["cheb"], "lower", 1.2)
+    lower = dataclasses.replace(selected, leading_n=FAR, kept_pairs=(), standalones=())
+    upper = dataclasses.replace(lower, side="upper", leading_n=None)
+    no_terms = SimpleNamespace(terms=(), name="V=0")
+    got = verify_selection_bounds(no_terms, lower, upper, x_max, tables)
+    _same_report(got, dense_selection_bounds(no_terms, lower, upper, x_max, tables))
+    assert (got.max_violation, got.witness_x) == (1.0, first)
+
+
+@pytest.mark.parametrize("a, b", [(0.9226, 1.0765), (0.93, 1.07), (1.1, 1.2), (0.5, 0.6)])
+def test_blocked_final_bounds_match_dense_oracle(tables_1m, a, b):
+    for x_max in (100, 101, _BLOCK + 99, _BLOCK + 100, _BLOCK + 101, 3 * _BLOCK + 7, 10**5, 10**6):
+        got = verify_final_bounds(a, b, x_max, tables_1m)
+        _same_report(got, dense_final_bounds(a, b, x_max, tables_1m))
+
+
+def _peak_bytes(check) -> int:
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_checks_work_in_a_few_block_buffers(tables_1m, profiles):
+    # nu8 at rho = 1.02 keeps 237 + 266 terms; one float64 block is 512 KB
+    lower = select_terms(profiles["nu8"], "lower", 1.02)
+    upper = select_terms(profiles["nu8"], "upper", 1.02)
+    limit = 4 * 2**20
+    assert _peak_bytes(lambda: verify_selection_bounds(BUILTINS["nu8"], lower, upper, 10**6, tables_1m)) <= limit
+    assert _peak_bytes(lambda: verify_final_bounds(0.9226, 1.0765, 10**6, tables_1m)) <= limit
