@@ -121,6 +121,14 @@ def build_sieve(limit: int) -> SieveTables:
     )
 
 
+def _sieve_for(x_max: int, tables: SieveTables | None) -> SieveTables:
+    """tables if they reach x_max, else a new sieve up to x_max; an x_max
+    below 1 is refused before any table is read or built."""
+    if x_max < 1:
+        raise OutOfRangeError("limit must be >= 1")
+    return tables if tables is not None and tables.limit >= x_max else build_sieve(x_max)
+
+
 def psi(x: float, tables: SieveTables) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) over n <= x."""
     if x < 0:
@@ -150,6 +158,24 @@ def log_table(limit: int) -> np.ndarray:
     return t
 
 
+def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.ndarray:
+    """Add the sparse Dirichlet convolution c*g, on n = lo .. lo + len(buf) - 1,
+    to buf: buf[n - lo] += c_k g(m) for each (k, c_k) in terms and each
+    n = k m in that range with m >= start; g[a:b] holds g(m) for a <= m < b.
+    Every Dirichlet sum of the sieve checks is built from this routine."""
+    hi = lo + len(buf)
+    for k, c in terms:
+        first, last = max(start, -(-lo // k)), (hi - 1) // k  # empty slices if first > last
+        view, values = buf[k * first - lo :: k], g[first : last + 1]
+        if c == 1:  # the same sums as view += c * values, without the product
+            view += values
+        elif c == -1:
+            view -= values
+        else:
+            view += c * values
+    return buf
+
+
 def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum of f(d) g(n/d) over d | n, for n = 1..L (index 0 is 0).
 
@@ -161,21 +187,20 @@ def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     limit = len(f) - 1
     root = math.isqrt(limit)
-    out = np.zeros(limit + 1, dtype=np.float64)
-    for d in (np.flatnonzero(f[1 : root + 1]) + 1).tolist():
-        out[d::d] += f[d] * g[1 : limit // d + 1]
-    for j in (np.flatnonzero(g[1 : limit // (root + 1) + 1]) + 1).tolist():
-        hi = limit // j
-        out[j * (root + 1) : j * hi + 1 : j] += g[j] * f[root + 1 : hi + 1]
-    return out
+    out = np.zeros(limit + 1)
+    d = np.flatnonzero(f[1 : root + 1]) + 1
+    _add_multiples(out, 0, zip(d.tolist(), f[d].tolist()), g)
+    j = np.flatnonzero(g[1 : limit // (root + 1) + 1]) + 1
+    return _add_multiples(out, 0, zip(j.tolist(), g[j].tolist()), f, start=root + 1)
 
 
 def max_abs_prefix(diff: np.ndarray) -> tuple[float, int]:
     """max over x of |sum of diff[n] for 1 <= n <= x|, and the first x attaining it.
 
-    Returns (0.0, 0) when diff holds no n >= 1.
+    Overwrites diff[1:] with those sums' absolute values. Returns (0.0, 0)
+    when diff holds no n >= 1.
     """
-    dev = np.cumsum(diff[1:])
+    dev = np.cumsum(diff[1:], out=diff[1:])
     if dev.size == 0:
         return 0.0, 0
     np.abs(dev, out=dev)
@@ -206,8 +231,7 @@ def check_convolution_identities(
     gives max_x |sum_{n<=x} (a(n) - b(n))| for each, which is the deviation
     between the two sides at x, accumulated from per-n differences.
     """
-    if tables is None or tables.limit < limit:
-        tables = build_sieve(limit)
+    tables = _sieve_for(limit, tables)
     lam = tables.lam[: limit + 1]
     logs = log_table(limit)
     ones = np.broadcast_to(np.float64(1.0), (limit + 1,))

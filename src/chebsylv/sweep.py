@@ -3,7 +3,7 @@
 Every row is read from the exact fixed point of ``iteration``. The pairs kept
 at any rho >= rho_min are the pairs kept at rho_min whose ratio reaches rho,
 so rows that keep the same pair counts share one exact solve, and each new
-count's exact sums are reached from the nearest count already summed.
+count's exact sums are cut back from the nearest larger count already summed.
 """
 
 from __future__ import annotations
@@ -41,23 +41,21 @@ def _prefix_sums(
 ) -> Callable[[int], tuple[Fraction, Fraction]]:
     """(sum 1/m, sum 1/n + extra_b) over pairs[:count], for any count.
 
-    Only the counts asked for are kept; a new one adds or takes off the
-    pairs between it and the nearest count already summed.
+    All the pairs are summed once; a new count takes off the pairs between
+    it and the nearest count above it that is already summed.
     """
-    counts, sums = [0], {0: (Fraction(0), extra_b)}
+
+    def total(part: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+        return _reciprocal_sum(m for m, _ in part), _reciprocal_sum(n for _, n in part)
+
+    a, b = total(pairs)
+    counts, sums = [len(pairs)], {len(pairs): (a, b + extra_b)}
 
     def at(count: int) -> tuple[Fraction, Fraction]:
         if count not in sums:
             i = bisect.bisect(counts, count)
-            below, above = counts[i - 1], counts[i] if i < len(counts) else math.inf
-            if count - below <= above - count:
-                (a, b), part, sign = sums[below], pairs[below:count], 1
-            else:
-                (a, b), part, sign = sums[above], pairs[count:above], -1
-            sums[count] = (
-                a + sign * _reciprocal_sum(m for m, _ in part),
-                b + sign * _reciprocal_sum(n for _, n in part),
-            )
+            (a, b), (da, db) = sums[counts[i]], total(pairs[count : counts[i]])
+            sums[count] = (a - da, b - db)
             counts.insert(i, count)
         return sums[count]
 
@@ -173,9 +171,8 @@ def _optimize(
         for _ in range(3):  # halve the grid step three times
             step /= 2
             lo = max(rho_min, best.rho - 2 * step)
-            cands = [make_row(lo + i * step) for i in range(5)]
-            cands = [c for c in cands if c.converges and c.a_limit > 0]
-            best = min(cands + [best], key=key)
+            cands = (make_row(r) for r in (lo + i * step for i in range(5)) if r <= rho_max)
+            best = min([c for c in cands if c.converges and c.a_limit > 0] + [best], key=key)
         return best
 
     best_a = refine(min(usable, key=lambda r: -r.a_limit), lambda r: -r.a_limit)

@@ -10,7 +10,8 @@ import numpy as np
 from .kernel import (
     OutOfRangeError,
     SieveTables,
-    build_sieve,
+    _add_multiples,
+    _sieve_for,
     dirichlet_convolution,
     log_table,
     max_abs_prefix,
@@ -36,25 +37,6 @@ class VerificationReport:
     passed: bool
     witness_x: int | None = None
     extras: dict = field(default_factory=dict)
-
-
-def _add_multiples(buf: np.ndarray, lo: int, terms, g) -> np.ndarray:
-    """Add the sparse Dirichlet convolution c*g, on n = lo .. lo + len(buf) - 1,
-    to buf: buf[n - lo] += c_k g(n/k) for each (k, c_k) in terms and each
-    multiple n >= k of k in that range. g[a:b] holds g(m) for a <= m < b."""
-    hi = lo + len(buf)
-    for k, c in terms:
-        first, last = max(1, -(-lo // k)), (hi - 1) // k
-        if first > last:
-            continue
-        view, values = buf[k * first - lo :: k], g[first : last + 1]
-        if c == 1:  # the same sums as view += c * values, without the product
-            view += values
-        elif c == -1:
-            view -= values
-        else:
-            view += c * values
-    return buf
 
 
 class _Logs:
@@ -90,8 +72,7 @@ def verify_V_identities(
     the nine built-ins, against TOL = 1e-6: 8.6e-13 at x_max 10^4, 1.1e-11
     at 10^5, 7.0e-11 at 10^6 and 7.5e-10 at 10^7 (x86-64, numpy 2.4).
     """
-    if tables is None or tables.limit < x_max:
-        tables = build_sieve(x_max)
+    tables = _sieve_for(x_max, tables)
     if profile is None:
         profile = e_profile(s)
     # dE(x) depends on x mod the period except at x = 1, where E(0) = 0:
@@ -99,7 +80,9 @@ def verify_V_identities(
     step = np.diff(profile.values, prepend=profile.values[-1]).astype(np.float64)
     de = np.resize(np.roll(step, 1), x_max + 1)
     de[0], de[1] = 0.0, profile.values[0]
-    diff = -dirichlet_convolution(tables.lam[: x_max + 1], de)
+    diff = dirichlet_convolution(tables.lam[: x_max + 1], de)
+    del de  # 8 B/n, freed before the log table
+    np.negative(diff, out=diff)
     max_dev, witness = max_abs_prefix(_add_multiples(diff, 0, s.terms, log_table(x_max)))
     return VerificationReport(
         name=f"V-identities[{s.name or 'scheme'}]",
@@ -130,10 +113,7 @@ def verify_selection_bounds(
     2.0}, against TOL = 1e-6: 1.2e-14 at each x_max from 10^4 to 10^7
     (x86-64, numpy 2.4).
     """
-    if tables is None or tables.limit < x_max:
-        tables = build_sieve(x_max)
-    if x_max < 1:
-        raise OutOfRangeError("x_max must be >= 1")
+    tables = _sieve_for(x_max, tables)
     lower_terms = bound_terms(lower)
     upper_terms = [(k, -c) for k, c in bound_terms(upper)]
     # -0.0 is the identity of float addition, so the first block's sums are
@@ -197,8 +177,7 @@ def verify_final_bounds(
         raise OutOfRangeError("require a < b")
     if x_max < 100:
         raise OutOfRangeError("x_max must be >= 100")
-    if tables is None or tables.limit < x_max:
-        tables = build_sieve(x_max)
+    tables = _sieve_for(x_max, tables)
     best = [(-math.inf, 0), (-math.inf, 0)]  # (C_low, x) and (C_high, x)
     for lo in range(100, x_max + 1, _BLOCK):
         xs = np.arange(lo, min(lo + _BLOCK, x_max + 1), dtype=np.float64)

@@ -157,6 +157,19 @@ def test_sweep_csv_and_refine(capsys, tmp_path):
     ]
 
 
+def test_sweep_with_exclude_and_refine(capsys):
+    exclude = ((281, 310), (440, 493))
+    argv = "sweep nu6 --rho-min 1.05 --rho-max 1.3 --step 0.05 --refine"
+    code, out, _ = run_cli(capsys, *argv.split(), *(f"--exclude={m},{n}" for m, n in exclude))
+    assert code == 0
+    data = json.loads(out)
+    p = e_profile(BUILTINS["nu6"])
+    for row in data["rows"] + [data["optimum"]["best_ratio"]]:
+        lower = select_terms(p, "lower", row["rho"], exclude=exclude)
+        upper = select_terms(p, "upper", row["rho"], exclude=exclude)
+        assert (row["n_lower"], row["n_upper"]) == (lower.n_terms, upper.n_terms)
+
+
 def test_verify_convolution(capsys):
     code, out, _ = run_cli(capsys, "verify", "convolution", "--limit", "1000")
     assert code == 0

@@ -34,12 +34,25 @@ def _breakpoint_rhos(p, rho_min, count):
     return [rho for r in picks for rho in (r, math.nextafter(r, math.inf))]
 
 
+def _assert_rows_exact(s, p, rows, exclude=()):
+    """Each row equals the exact fixed point of its rho's own selections."""
+    a_const = constant_A(s)
+    for row in rows:
+        lower = select_terms(p, "lower", row.rho, exclude=exclude)
+        upper = select_terms(p, "upper", row.rho, exclude=exclude)
+        exact = fixed_point(build_recurrence(lower, upper, a_const, p.n))
+        assert row.a_limit == exact.a_limit
+        assert row.b_limit == exact.b_limit
+        assert row.converges == exact.converges
+        assert (row.n_lower_terms, row.n_upper_terms) == (lower.n_terms, upper.n_terms)
+
+
 def test_sweep_rows_match_exact_iteration(profiles):
     windows = {"nu4": (1.2, 1.6, 0.1), "cheb": (1.05, 2.0, 0.05), "nu6": (1.05, 1.6, 0.05)}
     rows = {name: sweep_rho(BUILTINS[name], *window) for name, window in windows.items()}
     for name, rho_min in (("nu7", 1.06), ("nu8", 1.04)):
-        # rows asked for out of order, so that exact sums are both extended
-        # and cut back from the nearest count already summed
+        # rows asked for out of order, so that a new count's exact sums are
+        # cut back from a larger count summed before, not only the full one
         rhos = _breakpoint_rhos(profiles[name], rho_min, 4)
         make_row = _row_maker(BUILTINS[name], rho_min, ())
         rows[name] = [make_row(rho) for rho in rhos[::2] + rhos[1::2]]
@@ -49,17 +62,42 @@ def test_sweep_rows_match_exact_iteration(profiles):
             for a, b in zip(kept, dropped)
         )
     for name, name_rows in rows.items():
-        p = profiles[name]
-        a_const = constant_A(BUILTINS[name])
-        for row in name_rows:
-            lower = select_terms(p, "lower", row.rho)
-            upper = select_terms(p, "upper", row.rho)
-            exact = fixed_point(build_recurrence(lower, upper, a_const, p.n))
-            assert row.a_limit == exact.a_limit
-            assert row.b_limit == exact.b_limit
-            assert row.converges == exact.converges
-            assert row.n_lower_terms == lower.n_terms
-            assert row.n_upper_terms == upper.n_terms
+        _assert_rows_exact(BUILTINS[name], profiles[name], name_rows)
+
+
+# the acceptance suite's nu6 exclusions, ratios 310/281 = 1.103 and 493/440 = 1.120
+NU6_EXCLUSIONS = ((281, 310), (440, 493))
+
+
+def test_sweep_and_optimum_with_exclusions_match_exact_iteration(profiles):
+    s, p = BUILTINS["nu6"], profiles["nu6"]
+    rows = sweep_rho(s, 1.05, 1.3, 0.01, exclude=NU6_EXCLUSIONS)
+    _assert_rows_exact(s, p, rows, NU6_EXCLUSIONS)
+    # the exclusions take terms off the rows below both ratios
+    plain = sweep_rho(s, 1.05, 1.3, 0.01)
+    assert any(r.n_lower_terms + r.n_upper_terms < q.n_lower_terms + q.n_upper_terms
+               for r, q in zip(rows, plain))
+    result = optimize_rho(s, 1.05, 1.3, 0.01, exclude=NU6_EXCLUSIONS)
+    _assert_rows_exact(s, p, [result.best_a, result.best_b, result.best_ratio], NU6_EXCLUSIONS)
+
+
+@pytest.mark.parametrize(
+    "name, rho_min, rho_max, step",
+    [
+        ("nu2", 1.08, 1.18, 0.02),  # refining past rho_max gave rho = 1.2 for all three
+        ("cheb", 1.02, 1.1, 0.02),
+        ("nu4", 1.1, 1.3, 0.02),
+        ("nu5", 1.3, 1.5, 0.01),
+        ("nu6", 1.05, 1.25, 0.02),
+        ("nu7", 1.08, 1.13, 0.005),
+        ("nu8", 1.02, 1.12, 0.02),
+    ],
+)
+def test_optimum_stays_in_the_window(name, rho_min, rho_max, step):
+    result = optimize_rho(BUILTINS[name], rho_min, rho_max, step)
+    for row in (result.best_a, result.best_b, result.best_ratio):
+        # grid points may pass rho_max by float rounding (rho_min + i * step)
+        assert rho_min <= row.rho <= rho_max + 1e-9
 
 
 def test_term_counts_nonincreasing_in_rho():

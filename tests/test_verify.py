@@ -8,6 +8,8 @@ import pytest
 
 from chebsylv import (
     BUILTINS,
+    OutOfRangeError,
+    check_convolution_identities,
     constant_A,
     select_terms,
     verify_V_identities,
@@ -372,3 +374,41 @@ def test_blocked_checks_work_in_a_few_block_buffers(tables_1m, profiles):
     limit = 4 * 2**20
     assert _peak_bytes(lambda: verify_selection_bounds(BUILTINS["nu8"], lower, upper, 10**6, tables_1m)) <= limit
     assert _peak_bytes(lambda: verify_final_bounds(0.9226, 1.0765, 10**6, tables_1m)) <= limit
+
+
+def test_identity_checks_work_in_place(tables_1m, profiles):
+    # beyond the sieve tables, the identity checks hold a float64 result and
+    # a log or dE table (8 B/n each) plus at most a half-length product
+    # (4 B/n); a copy of the result, negated or differenced, adds 8 B/n
+    limit = 21 * (10**6 + 1)
+    assert _peak_bytes(lambda: check_convolution_identities(10**6, tables_1m)) <= limit
+    for name in ("cheb", "nu8"):
+        check = lambda: verify_V_identities(BUILTINS[name], 10**6, tables_1m, profiles[name])
+        assert _peak_bytes(check) <= limit, name
+
+
+class _NoTables:
+    def __getattr__(self, name):
+        raise AssertionError(f"tables.{name} read before the range check")
+
+
+def _sieve_check(check, x_max, tables, profile):
+    s = BUILTINS["cheb"]
+    if check == "convolution":
+        return check_convolution_identities(x_max, tables)
+    if check == "v-identity":
+        return verify_V_identities(s, x_max, tables, profile)
+    lower, upper = (select_terms(profile, side, 1.5) for side in ("lower", "upper"))
+    return verify_selection_bounds(s, lower, upper, x_max, tables)
+
+
+@pytest.mark.parametrize("check", ["convolution", "v-identity", "selection"])
+@pytest.mark.parametrize("x_max", [0, -1, -10**6])
+@pytest.mark.parametrize("given", [True, False], ids=["tables", "no-tables"])
+def test_sieve_checks_reject_x_max_below_one_first(monkeypatch, profiles, check, x_max, given):
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the range check")
+
+    monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
+    with pytest.raises(OutOfRangeError):
+        _sieve_check(check, x_max, _NoTables() if given else None, profiles["cheb"])
