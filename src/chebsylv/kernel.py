@@ -2,9 +2,9 @@
 
 Everything here is a desk-scale exact oracle: a segmented Eratosthenes sieve
 up to ``limit`` whose Python loop runs, segment by segment, only over the
-primes p <= sqrt(limit), with prefix sums, so that psi and pi queries are
-O(1) afterwards. The identity checks compare Dirichlet convolutions n by n
-in O(limit log limit).
+primes p <= sqrt(limit), with psi's prefix sum and the list of primes, so that
+psi queries are O(1) and pi queries O(log pi(limit)) afterwards. The identity
+checks compare Dirichlet convolutions n by n in O(limit log limit).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ LCM_CAP = 10**4
 # Entries per segment of build_sieve: the segment's int32 radical (1 MB) and
 # its slices of the tables stay in cache while every small prime strides them.
 _SEGMENT = 1 << 18
+# Entries per slice of a product c * g(m) in _add_multiples (512 KB of float64).
+_CHUNK = 1 << 16
 
 
 class CapacityError(ValueError):
@@ -35,7 +37,8 @@ class SieveTables:
     """Arithmetic tables for 1..limit (index 0 is padding).
 
     lam[n] = Lambda(n) (ln p for prime powers p^k, else 0),
-    moebius[n] = mu(n), psi_prefix[n] = psi(n), pi_prefix[n] = pi(n).
+    moebius[n] = mu(n), psi_prefix[n] = psi(n); primes is the sorted int64
+    array of the primes <= limit, so pi(n) is its count of entries <= n.
     """
 
     limit: int
@@ -43,7 +46,7 @@ class SieveTables:
     moebius: np.ndarray
     is_prime: np.ndarray
     psi_prefix: np.ndarray
-    pi_prefix: np.ndarray
+    primes: np.ndarray
 
 
 def _sieve_segment(lo: int, small_primes: np.ndarray, is_prime: np.ndarray, moebius: np.ndarray) -> None:
@@ -61,8 +64,11 @@ def _sieve_segment(lo: int, small_primes: np.ndarray, is_prime: np.ndarray, moeb
     for p, start in zip(small_primes.tolist(), starts.tolist()):
         rad[start::p] *= -p
     np.equal(rad, 1, out=is_prime)
-    has_big = np.abs(rad) != np.arange(lo, lo + len(rad), dtype=np.int32)
-    np.copyto(moebius, np.where((rad < 0) != has_big, np.int8(-1), np.int8(1)))
+    negative = rad < 0
+    np.abs(rad, out=rad)
+    rad -= np.arange(lo, lo + len(rad), dtype=np.int32)  # 0 iff |r(n)| = n
+    negative ^= rad != 0
+    np.subtract(1, 2 * negative.view(np.int8), out=moebius)
     squares = small_primes * small_primes
     for q, start in zip(squares.tolist(), ((-lo) % squares).tolist()):
         if start < len(rad):
@@ -70,7 +76,7 @@ def _sieve_segment(lo: int, small_primes: np.ndarray, is_prime: np.ndarray, moeb
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Sieve Lambda, mu, primality up to limit and attach prefix sums.
+    """Sieve Lambda, mu, primality up to limit; attach psi's prefix sum and the primes.
 
     The primes p <= sqrt(limit) come from a small sieve; every segment of
     _SEGMENT entries is then sieved by them in turn (_sieve_segment).
@@ -106,18 +112,8 @@ def build_sieve(limit: int) -> SieveTables:
     # math.log, not np.log: the two differ in the last bit at some primes.
     lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
 
-    psi_prefix = np.cumsum(lam)
-    # summed in place: np.cumsum(is_prime, dtype=np.int64) casts into a
-    # second int64 table of its own
-    pi_prefix = is_prime.astype(np.int64)
-    np.cumsum(pi_prefix, out=pi_prefix)
     return SieveTables(
-        limit=limit,
-        lam=lam,
-        moebius=moebius,
-        is_prime=is_prime,
-        psi_prefix=psi_prefix,
-        pi_prefix=pi_prefix,
+        limit=limit, lam=lam, moebius=moebius, is_prime=is_prime, psi_prefix=np.cumsum(lam), primes=primes
     )
 
 
@@ -142,13 +138,14 @@ def psi(x: float, tables: SieveTables) -> float:
 
 
 def pi_count(x: float, tables: SieveTables) -> int:
-    """Number of primes <= x."""
+    """Number of primes <= x: a binary search in the primes, kept int64 so that
+    searchsorted casts no copy of them to compare with an int."""
     n = math.floor(x)
     if n > tables.limit:
         raise OutOfRangeError(f"x={x} beyond sieve limit {tables.limit}")
     if n < 2:
         return 0
-    return int(tables.pi_prefix[n])
+    return int(tables.primes.searchsorted(n, side="right"))
 
 
 def log_table(limit: int) -> np.ndarray:
@@ -171,8 +168,11 @@ def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.nda
             view += values
         elif c == -1:
             view -= values
-        else:
+        elif len(values) <= _CHUNK:
             view += c * values
+        else:  # in slices, so that no product as long as L/2 is formed
+            for i in range(0, len(values), _CHUNK):
+                view[i : i + _CHUNK] += c * values[i : i + _CHUNK]
     return buf
 
 

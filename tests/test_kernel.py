@@ -60,7 +60,7 @@ def loop_sieve(limit: int) -> SieveTables:
         moebius=moebius,
         is_prime=is_prime,
         psi_prefix=np.cumsum(lam),
-        pi_prefix=np.cumsum(is_prime.astype(np.int64)),
+        primes=np.flatnonzero(is_prime),
     )
 
 
@@ -89,13 +89,14 @@ def brute_convolution_devs(limit: int, tables: SieveTables) -> tuple[float, floa
 )
 def test_sieve_bit_identical_to_loop_sieve(limit):
     got, ref = build_sieve(limit), loop_sieve(limit)
-    for name in ("lam", "moebius", "is_prime", "psi_prefix", "pi_prefix"):
+    for name in ("lam", "moebius", "is_prime", "psi_prefix", "primes"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_sieve_peak_memory_is_its_tables():
-    # lam, psi_prefix and pi_prefix at 8 B/n, moebius and is_prime at 1 B/n
+    # lam and psi_prefix at 8 B/n, moebius and is_prime at 1 B/n, and the
+    # int64 primes at 8 pi(L)/L, about 0.6 B/n
     limit = 10**6
     tracemalloc.start()
     try:
@@ -103,7 +104,7 @@ def test_sieve_peak_memory_is_its_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 26 * (limit + 1)
+    assert peak <= 1.1 * 19 * (limit + 1)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 30, 2000])
@@ -246,4 +247,25 @@ def test_prefix_arrays_are_consistent(tables_10k):
     t = tables_10k
     assert t.psi_prefix[0] == 0.0
     assert np.all(np.diff(t.psi_prefix) >= 0)
-    assert t.pi_prefix[-1] == pi_count(t.limit, t)
+    counts = np.cumsum(t.is_prime)
+    assert [pi_count(n, t) for n in range(t.limit + 1)] == counts.tolist()
+    # n around the first segment boundary of a sieve past it
+    t = build_sieve(_SEGMENT + 100)
+    counts = np.cumsum(t.is_prime)
+    for n in (_SEGMENT - 1, _SEGMENT, _SEGMENT + 1):
+        assert pi_count(n, t) == counts[n]
+
+
+def test_pi_count_allocates_no_copy_of_the_primes(tables_1m):
+    # an int32 primes array would be cast to an int64 copy (about 0.6 MB at
+    # 10^6) by every searchsorted call with an int needle
+    t = tables_1m
+    assert t.primes.dtype == np.int64
+    tracemalloc.start()
+    try:
+        for n in range(10**6 - 200, 10**6):
+            pi_count(n, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -241,7 +241,7 @@ def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
             moebius=unused,
             is_prime=unused,
             psi_prefix=psi_prefix,
-            pi_prefix=unused,
+            primes=unused,
         )
         report = verify_final_bounds(a, b, x_max, tables)
         _same_report(report, dense_final_bounds(a, b, x_max, tables))
@@ -339,7 +339,7 @@ def test_selection_ties_go_to_the_first_x(profiles, lower_at, upper_at, first):
     x_max = 3 * _BLOCK + 7
     zero = np.zeros(x_max + 2)
     tables = _spiked(
-        SieveTables(limit=x_max, lam=zero, moebius=zero, is_prime=zero, psi_prefix=zero, pi_prefix=zero),
+        SieveTables(limit=x_max, lam=zero, moebius=zero, is_prime=zero, psi_prefix=zero, primes=zero),
         [(x, 1.0) for x in lower_at] + [(x, -1.0) for x in upper_at],
     )
     selected = select_terms(profiles["cheb"], "lower", 1.2)
@@ -378,9 +378,9 @@ def test_blocked_checks_work_in_a_few_block_buffers(tables_1m, profiles):
 
 def test_identity_checks_work_in_place(tables_1m, profiles):
     # beyond the sieve tables, the identity checks hold a float64 result and
-    # a log or dE table (8 B/n each) plus at most a half-length product
-    # (4 B/n); a copy of the result, negated or differenced, adds 8 B/n
-    limit = 21 * (10**6 + 1)
+    # a log or dE table (8 B/n each) and products of at most _CHUNK entries;
+    # a copy of the result, negated or differenced, adds 8 B/n
+    limit = 18 * (10**6 + 1)
     assert _peak_bytes(lambda: check_convolution_identities(10**6, tables_1m)) <= limit
     for name in ("cheb", "nu8"):
         check = lambda: verify_V_identities(BUILTINS[name], 10**6, tables_1m, profiles[name])
