@@ -113,7 +113,12 @@ def build_sieve(limit: int) -> SieveTables:
     lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
 
     return SieveTables(
-        limit=limit, lam=lam, moebius=moebius, is_prime=is_prime, psi_prefix=np.cumsum(lam), primes=primes
+        limit=limit,
+        lam=lam,
+        moebius=moebius,
+        is_prime=is_prime,
+        psi_prefix=np.cumsum(lam),
+        primes=primes,
     )
 
 
@@ -132,8 +137,6 @@ def psi(x: float, tables: SieveTables) -> float:
     n = math.floor(x)
     if n > tables.limit:
         raise OutOfRangeError(f"x={x} beyond sieve limit {tables.limit}")
-    if n < 1:
-        return 0.0
     return float(tables.psi_prefix[n])
 
 
@@ -143,8 +146,6 @@ def pi_count(x: float, tables: SieveTables) -> int:
     n = math.floor(x)
     if n > tables.limit:
         raise OutOfRangeError(f"x={x} beyond sieve limit {tables.limit}")
-    if n < 2:
-        return 0
     return int(tables.primes.searchsorted(n, side="right"))
 
 
@@ -168,8 +169,6 @@ def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.nda
             view += values
         elif c == -1:
             view -= values
-        elif len(values) <= _CHUNK:
-            view += c * values
         else:  # in slices, so that no product as long as L/2 is formed
             for i in range(0, len(values), _CHUNK):
                 view[i : i + _CHUNK] += c * values[i : i + _CHUNK]
