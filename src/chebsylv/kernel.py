@@ -3,8 +3,11 @@
 Everything here is a desk-scale exact oracle: a segmented Eratosthenes sieve
 up to ``limit`` whose Python loop runs, segment by segment, only over the
 primes p <= sqrt(limit), with psi's prefix sum and the list of primes, so that
-psi queries are O(1) and pi queries O(log pi(limit)) afterwards. The identity
-checks compare Dirichlet convolutions n by n in O(limit log limit).
+psi queries are O(1) and pi queries O(log pi(limit)) afterwards. Every sieve
+check is one pass over x in blocks: each block gets its Dirichlet sums from
+strided adds (_add_multiples, split at sqrt(limit) by _dirichlet_sum), and
+_running_peak carries the running sums from block to block, so a check costs
+O(limit log limit) and a few block buffers beyond the tables.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import numpy as np
 SIEVE_CAP = 10**7
 LCM_CAP = 10**4
 
-# Entries per segment of build_sieve: the segment's int32 radical (1 MB) and
-# its slices of the tables stay in cache while every small prime strides them.
+# Entries per segment of build_sieve, and per block of the identity checks: the
+# segment's int32 radical (1 MB) or a block's float64 sums (2 MB) stay in cache
+# while every small prime or term strides them.
 _SEGMENT = 1 << 18
 # Entries per slice of a product c * g(m) in _add_multiples (512 KB of float64).
 _CHUNK = 1 << 16
@@ -44,26 +48,27 @@ class SieveTables:
     limit: int
     lam: np.ndarray
     moebius: np.ndarray
-    is_prime: np.ndarray
     psi_prefix: np.ndarray
     primes: np.ndarray
 
 
-def _sieve_segment(lo: int, small_primes: np.ndarray, is_prime: np.ndarray, moebius: np.ndarray) -> None:
-    """Fill is_prime and moebius, the tables' slices for n = lo .. lo + len - 1,
-    from r(n), the product of -p over the primes p <= sqrt(limit) dividing n.
+def _sieve_segment(lo: int, small_primes: np.ndarray, moebius: np.ndarray) -> np.ndarray:
+    """Fill moebius, the table's slice for n = lo .. lo + len - 1, from r(n),
+    the product of -p over the primes p <= sqrt(limit) dividing n, and return
+    the segment's primes > sqrt(limit).
 
     Every composite n <= limit has such a p, so n > sqrt(limit) is prime iff
-    r(n) = 1. A squarefree n has mu(n) = sign r(n) when |r(n)| = n, and
-    -sign r(n) when it also has one prime factor > sqrt(limit); the squares
-    p^2 then zero mu. Entries n <= sqrt(limit) of is_prime are the caller's.
+    r(n) = 1, which holds for no n <= sqrt(limit) but 0 and 1. A squarefree n
+    has mu(n) = sign r(n) when |r(n)| = n, and -sign r(n) when it also has one
+    prime factor > sqrt(limit); the squares p^2 then zero mu.
     """
-    rad = np.ones(len(is_prime), dtype=np.int32)
+    rad = np.ones(len(moebius), dtype=np.int32)
     # the first multiple of p at or after lo, skipping n = 0
     starts = small_primes if lo == 0 else (-lo) % small_primes
     for p, start in zip(small_primes.tolist(), starts.tolist()):
         rad[start::p] *= -p
-    np.equal(rad, 1, out=is_prime)
+    first = max(lo, 2)
+    primes = np.flatnonzero(rad[first - lo :] == 1) + first
     negative = rad < 0
     np.abs(rad, out=rad)
     rad -= np.arange(lo, lo + len(rad), dtype=np.int32)  # 0 iff |r(n)| = n
@@ -73,10 +78,11 @@ def _sieve_segment(lo: int, small_primes: np.ndarray, is_prime: np.ndarray, moeb
     for q, start in zip(squares.tolist(), ((-lo) % squares).tolist()):
         if start < len(rad):
             moebius[start::q] = 0
+    return primes
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Sieve Lambda, mu, primality up to limit; attach psi's prefix sum and the primes.
+    """Sieve Lambda, mu and the primes up to limit; attach psi's prefix sum.
 
     The primes p <= sqrt(limit) come from a small sieve; every segment of
     _SEGMENT entries is then sieved by them in turn (_sieve_segment).
@@ -93,12 +99,11 @@ def build_sieve(limit: int) -> SieveTables:
         if small[p]:
             small[p * p :: p] = False
     small_primes = np.flatnonzero(small)
-    is_prime = np.empty(limit + 1, dtype=bool)
     moebius = np.empty(limit + 1, dtype=np.int8)
+    found = [small_primes]
     for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        _sieve_segment(lo, small_primes, is_prime[lo:hi], moebius[lo:hi])
-    is_prime[: root + 1] = small
+        found.append(_sieve_segment(lo, small_primes, moebius[lo : lo + _SEGMENT]))
+    primes = np.concatenate(found)
     moebius[0] = 0
 
     lam = np.zeros(limit + 1, dtype=np.float64)
@@ -108,7 +113,6 @@ def build_sieve(limit: int) -> SieveTables:
         while pk <= limit:
             lam[pk] = logp
             pk *= p
-    primes = np.flatnonzero(is_prime)
     # math.log, not np.log: the two differ in the last bit at some primes.
     lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
 
@@ -116,7 +120,6 @@ def build_sieve(limit: int) -> SieveTables:
         limit=limit,
         lam=lam,
         moebius=moebius,
-        is_prime=is_prime,
         psi_prefix=np.cumsum(lam),
         primes=primes,
     )
@@ -149,13 +152,6 @@ def pi_count(x: float, tables: SieveTables) -> int:
     return int(tables.primes.searchsorted(n, side="right"))
 
 
-def log_table(limit: int) -> np.ndarray:
-    """Table l[n] = ln n for n = 1..limit, with l[0] = 0."""
-    t = np.arange(limit + 1, dtype=np.float64)
-    np.log(t[1:], out=t[1:])
-    return t
-
-
 def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.ndarray:
     """Add the sparse Dirichlet convolution c*g, on n = lo .. lo + len(buf) - 1,
     to buf: buf[n - lo] += c_k g(m) for each (k, c_k) in terms and each
@@ -163,7 +159,9 @@ def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.nda
     Every Dirichlet sum of the sieve checks is built from this routine."""
     hi = lo + len(buf)
     for k, c in terms:
-        first, last = max(start, -(-lo // k)), (hi - 1) // k  # empty slices if first > last
+        first, last = max(start, -(-lo // k)), (hi - 1) // k
+        if first > last:  # no multiple of k in the block
+            continue
         view, values = buf[k * first - lo :: k], g[first : last + 1]
         if c == 1:  # the same sums as view += c * values, without the product
             view += values
@@ -175,36 +173,79 @@ def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.nda
     return buf
 
 
-def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f*g)(n) = sum of f(d) g(n/d) over d | n, for n = 1..L (index 0 is 0).
+class _Slices:
+    """g[a:b] made on demand as make(a, b): a source of slices with no table."""
 
-    f and g are tables over 0..L (float64, or int8 like mu), summed in
-    float64. Each divisor d <= sqrt(L) with f(d) != 0 adds f(d) g(1..L/d)
-    along stride d; every larger d has a cofactor j = n/d <= sqrt(L), and
-    each such j with g(j) != 0 adds g(j) f(d) for d in (sqrt(L), L/j] along
-    stride j. O(L log L) work.
-    """
-    limit = len(f) - 1
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        return self.make(span.start, span.stop)
+
+
+def _logs(a: int, b: int) -> np.ndarray:
+    m = np.arange(a, b, dtype=np.float64)
+    return np.log(m, out=m)
+
+
+_LOGS = _Slices(_logs)  # ln m for every m >= 1: the one source of the checks' logs
+
+
+def _block_logs(limit: int) -> _Slices:
+    """_LOGS with ln m for m <= min(_SEGMENT, limit) made once: in block i of a
+    pass, each term k > i of a Dirichlet sum reads only such m."""
+    held = _logs(1, min(_SEGMENT, limit) + 1)
+    return _Slices(lambda a, b: held[a - 1 : b - 1] if b <= len(held) + 1 else _logs(a, b))
+
+
+def _dirichlet_sum(f: np.ndarray, g, limit: int):
+    """add(buf, lo), which adds (f*g)(n) = sum of f(d) g(n/d) over d | n to buf
+    on n = lo .. lo + len(buf) - 1 <= limit. As in the hyperbola method, the
+    divisors d <= r = isqrt(limit) with f(d) != 0 add f(d) g(n/d), then the
+    cofactors j <= limit // (r + 1) with g(j) != 0 add g(j) f(n/j) for n/j > r:
+    each n gets its terms in this order in any block. f is a table (float64,
+    or int8 like mu); g is a table or any source of slices g[a:b]."""
     root = math.isqrt(limit)
-    out = np.zeros(limit + 1)
     d = np.flatnonzero(f[1 : root + 1]) + 1
-    _add_multiples(out, 0, zip(d.tolist(), f[d].tolist()), g)
-    j = np.flatnonzero(g[1 : limit // (root + 1) + 1]) + 1
-    return _add_multiples(out, 0, zip(j.tolist(), g[j].tolist()), f, start=root + 1)
+    divisors = list(zip(d.tolist(), f[d].tolist()))
+    small = g[1 : limit // (root + 1) + 1]
+    j = np.flatnonzero(small) + 1
+    cofactors = list(zip(j.tolist(), small[j - 1].tolist()))
+    return lambda buf, lo: _add_multiples(
+        _add_multiples(buf, lo, divisors, g), lo, cofactors, f, start=root + 1
+    )
 
 
-def max_abs_prefix(diff: np.ndarray) -> tuple[float, int]:
-    """max over x of |sum of diff[n] for 1 <= n <= x|, and the first x attaining it.
+def _first_max(values: np.ndarray, lo: int, best: tuple[float, int]) -> tuple[float, int]:
+    """(max, x) of values, whose entry i belongs to x = lo + i, if that max
+    exceeds best[0]; else best. On ties the earlier x wins."""
+    i = int(values.argmax())
+    return (float(values[i]), lo + i) if values[i] > best[0] else best
 
-    Overwrites diff[1:] with those sums' absolute values. Returns (0.0, 0)
-    when diff holds no n >= 1.
-    """
-    dev = np.cumsum(diff[1:], out=diff[1:])
-    if dev.size == 0:
-        return 0.0, 0
-    np.abs(dev, out=dev)
-    i = int(dev.argmax())
-    return float(dev[i]), i + 1
+
+def _running_peak(x_max: int, block: int, fill) -> tuple[float, int]:
+    """The peak (at least 0.0) of running sums S(x) = sum of diff(n) over
+    1 <= n <= x, x = 1..x_max, and the first x that reaches it. fill(buf, lo)
+    returns diff(n), n = lo .. lo + len(buf) - 1, in the zeroed buf or new
+    arrays: of one sum, whose peak is max |S| (the worse of the sides S and
+    -S), or of two sums, whose peak is the larger of their maxima. One pass
+    over x in blocks carries each sum into the next block, so it works in a
+    few block buffers for any x_max."""
+    # -0.0 is the identity of float addition, so the first block's sums are
+    # those of one cumsum over all of x
+    carry = [-0.0, -0.0]
+    peaks = [(-math.inf, 0), (-math.inf, 0)]
+    for lo in range(1, x_max + 1, block):
+        diffs = fill(np.zeros(min(block, x_max + 1 - lo)), lo)
+        for i, diff in enumerate(diffs):
+            diff[0] += carry[i]
+            carry[i] = np.cumsum(diff, out=diff)[-1]
+            if len(diffs) == 1:
+                np.abs(diff, out=diff)
+            peaks[i] = _first_max(diff, lo, peaks[i])
+        del diffs, diff  # this block's buffers go before the next block's
+    worst = max(peak for peak, _ in peaks)
+    return max(0.0, worst), min(x for peak, x in peaks if peak == worst)
 
 
 @dataclass(frozen=True)
@@ -231,16 +272,23 @@ def check_convolution_identities(
     between the two sides at x, accumulated from per-n differences.
     """
     tables = _sieve_for(limit, tables)
-    lam = tables.lam[: limit + 1]
-    logs = log_table(limit)
-    ones = np.broadcast_to(np.float64(1.0), (limit + 1,))
-    lam_1 = dirichlet_convolution(lam, ones)
-    dev_t, _ = max_abs_prefix(np.subtract(lam_1, logs, out=lam_1))
-    del lam_1  # 8 B/n, freed before the second convolution
+    lam = tables.lam
+    logs = _block_logs(limit)
+    lam_1 = _dirichlet_sum(lam, np.broadcast_to(np.float64(1.0), (limit + 1,)), limit)
     # mu stays int8: each mu(d) * ln and ln(j) * mu is the float64 product
-    mu_ln = dirichlet_convolution(tables.moebius[: limit + 1], logs)
-    dev_psi, _ = max_abs_prefix(np.subtract(lam, mu_ln, out=mu_ln))
-    return ConvolutionReport(limit=limit, max_dev_T=dev_t, max_dev_psi=dev_psi)
+    mu_ln = _dirichlet_sum(tables.moebius, logs, limit)
+
+    def dev_t(buf: np.ndarray, lo: int):  # (Lambda*1 - ln)(n)
+        return (np.subtract(lam_1(buf, lo), logs[lo : lo + len(buf)], out=buf),)
+
+    def dev_psi(buf: np.ndarray, lo: int):  # (Lambda - mu*ln)(n)
+        return (np.subtract(lam[lo : lo + len(buf)], mu_ln(buf, lo), out=buf),)
+
+    return ConvolutionReport(
+        limit=limit,
+        max_dev_T=_running_peak(limit, _SEGMENT, dev_t)[0],
+        max_dev_psi=_running_peak(limit, _SEGMENT, dev_psi)[0],
+    )
 
 
 def lcm_identity_failures(x_max: int) -> list[int]:

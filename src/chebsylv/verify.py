@@ -8,13 +8,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (
+    _LOGS,
+    _SEGMENT,
     OutOfRangeError,
     SieveTables,
     _add_multiples,
+    _block_logs,
+    _dirichlet_sum,
+    _first_max,
+    _running_peak,
     _sieve_for,
-    dirichlet_convolution,
-    log_table,
-    max_abs_prefix,
+    _Slices,
     psi_pi_bracket,
 )
 from .scheme import Scheme, EProfile, e_profile, constant_A
@@ -39,23 +43,18 @@ class VerificationReport:
     extras: dict = field(default_factory=dict)
 
 
-class _Logs:
-    """ln m for every m >= 1, made on demand: _LOGS[a:b] equals
-    log_table(b - 1)[a:b] bit for bit, with no table up to b."""
-
-    def __getitem__(self, span: slice) -> np.ndarray:
-        m = np.arange(span.start, span.stop, dtype=np.float64)
-        return np.log(m, out=m)
-
-
-_LOGS = _Logs()
-
-
-def _first_max(values: np.ndarray, lo: int, best: tuple[float, int]) -> tuple[float, int]:
-    """(max, x) of values, whose entry i belongs to x = lo + i, if that max
-    exceeds best[0]; else best. On ties the earlier x wins."""
-    i = int(values.argmax())
-    return (float(values[i]), lo + i) if values[i] > best[0] else best
+def _running_report(name: str, x_max: int, block: int, fill) -> VerificationReport:
+    """A check over x = 1..x_max that passes while the peak of _running_peak
+    is at most TOL, with the first x of the peak as its witness otherwise."""
+    worst, witness = _running_peak(x_max, block, fill)
+    return VerificationReport(
+        name=name,
+        x_min=1,
+        x_max=x_max,
+        max_violation=worst,
+        passed=worst <= TOL,
+        witness_x=witness if worst > TOL else None,
+    )
 
 
 def verify_V_identities(
@@ -75,23 +74,23 @@ def verify_V_identities(
     tables = _sieve_for(x_max, tables)
     if profile is None:
         profile = e_profile(s)
-    # dE(x) depends on x mod the period except at x = 1, where E(0) = 0:
-    # tile one period of it, rolled so that index 0 holds x = 0 mod period
+    # dE(m), m = 1..P, repeats with period P since E(P) = E(0) = 0; a tile of
+    # it holds every slice of a block
+    period = profile.period
     step = np.diff(profile.values, prepend=profile.values[-1]).astype(np.float64)
-    de = np.resize(np.roll(step, 1), x_max + 1)
-    de[0], de[1] = 0.0, profile.values[0]
-    diff = dirichlet_convolution(tables.lam[: x_max + 1], de)
-    del de  # 8 B/n, freed before the log table
-    np.negative(diff, out=diff)
-    max_dev, witness = max_abs_prefix(_add_multiples(diff, 0, s.terms, log_table(x_max)))
-    return VerificationReport(
-        name=f"V-identities[{s.name or 'scheme'}]",
-        x_min=1,
-        x_max=x_max,
-        max_violation=max_dev,
-        passed=max_dev <= TOL,
-        witness_x=witness if max_dev > TOL else None,
-    )
+    tile = np.tile(step, min(_SEGMENT, x_max + 1) // period + 2)
+    de = _Slices(lambda a, b: tile[(a - 1) % period :][: b - a])
+    lam_de = _dirichlet_sum(tables.lam, de, x_max)
+    logs = _block_logs(x_max)
+    wrap = int(profile.values[-1])  # E(P), 0 for every profile e_profile makes
+
+    def dev(buf: np.ndarray, lo: int):  # (nu*ln - Lambda*dE)(n)
+        lam_de(buf, lo)
+        if wrap:  # dE(1) is E(1) - E(0), not the tile's E(1) - E(P)
+            _add_multiples(buf, lo, [(1, wrap)], tables.lam)
+        return (_add_multiples(np.negative(buf, out=buf), lo, s.terms, logs),)
+
+    return _running_report(f"V-identities[{s.name or 'scheme'}]", x_max, _SEGMENT, dev)
 
 
 def verify_selection_bounds(
@@ -116,29 +115,16 @@ def verify_selection_bounds(
     tables = _sieve_for(x_max, tables)
     lower_terms = bound_terms(lower)
     upper_terms = [(k, -c) for k, c in bound_terms(upper)]
-    # -0.0 is the identity of float addition, so the first block's sums are
-    # those of one cumsum over all of x
-    carry = [-0.0, -0.0]
-    peaks = [(-math.inf, 0), (-math.inf, 0)]
-    for lo in range(1, x_max + 1, _BLOCK):
-        dv = _add_multiples(np.zeros(min(_BLOCK, x_max + 1 - lo)), lo, s.terms, _LOGS)
-        sides = (  # the lower side copies dv before the upper side adds into it
+
+    def gaps(buf: np.ndarray, lo: int):  # (lower - V)(n) and (V - upper)(n)
+        dv = _add_multiples(buf, lo, s.terms, _LOGS)
+        return (  # the lower side copies dv before the upper side adds into it
             _add_multiples(-dv, lo, lower_terms, tables.lam),
             _add_multiples(dv, lo, upper_terms, tables.lam),
         )
-        for i, diff in enumerate(sides):
-            diff[0] += carry[i]
-            carry[i] = np.cumsum(diff, out=diff)[-1]
-            peaks[i] = _first_max(diff, lo, peaks[i])
-    worst = max(peak for peak, _ in peaks)
-    return VerificationReport(
-        name=f"selection-bounds[{s.name or 'scheme'}@rho={lower.rho}]",
-        x_min=1,
-        x_max=x_max,
-        max_violation=max(0.0, worst),
-        passed=worst <= TOL,
-        witness_x=min(x for peak, x in peaks if peak == worst) if worst > TOL else None,
-    )
+
+    name = f"selection-bounds[{s.name or 'scheme'}@rho={lower.rho}]"
+    return _running_report(name, x_max, _BLOCK, gaps)
 
 
 def verify_asymptotic_A(s: Scheme, xs: list[int]) -> VerificationReport:

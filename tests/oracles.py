@@ -7,10 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from chebsylv.kernel import CapacityError, log_table
+from chebsylv.kernel import CapacityError, ConvolutionReport, _add_multiples
 from chebsylv.scheme import PERIOD_CAP, Scheme, SchemeError, cancellation_check, render_scheme
 from chebsylv.selection import bound_terms
 from chebsylv.verify import TOL, VerificationReport
+
+
+def log_table(limit: int) -> np.ndarray:
+    """Table l[n] = ln n for n = 1..limit, with l[0] = 0."""
+    t = np.arange(limit + 1, dtype=np.float64)
+    np.log(t[1:], out=t[1:])
+    return t
 
 
 def chebyshev_T(x: float) -> float:
@@ -140,4 +147,59 @@ def dense_final_bounds(a, b, x_max, tables) -> VerificationReport:
         passed=passed,
         witness_x=witness,
         extras={"C_low": float(c_low[i_low]), "C_high": float(c_high[i_high])},
+    )
+
+
+def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f*g)(n) = sum of f(d) g(n/d) over d | n, for n = 1..L (index 0 is 0),
+    as one length-L array: each divisor d <= sqrt(L) with f(d) != 0 adds
+    f(d) g(1..L/d) along stride d, then each cofactor j <= L // (sqrt(L) + 1)
+    with g(j) != 0 adds g(j) f(d) for d in (sqrt(L), L/j] along stride j."""
+    limit = len(f) - 1
+    root = math.isqrt(limit)
+    out = np.zeros(limit + 1)
+    d = np.flatnonzero(f[1 : root + 1]) + 1
+    _add_multiples(out, 0, zip(d.tolist(), f[d].tolist()), g)
+    j = np.flatnonzero(g[1 : limit // (root + 1) + 1]) + 1
+    return _add_multiples(out, 0, zip(j.tolist(), g[j].tolist()), f, start=root + 1)
+
+
+def max_abs_prefix(diff: np.ndarray) -> tuple[float, int]:
+    """max over x of |sum of diff[n] for 1 <= n <= x|, and the first x
+    attaining it; overwrites diff[1:] with those sums' absolute values."""
+    dev = np.cumsum(diff[1:], out=diff[1:])
+    np.abs(dev, out=dev)
+    i = int(dev.argmax())
+    return float(dev[i]), i + 1
+
+
+def whole_array_convolution_identities(limit, tables) -> ConvolutionReport:
+    """check_convolution_identities with each Dirichlet sum as one length-L
+    array and one cumsum over all of x."""
+    lam = tables.lam[: limit + 1]
+    logs = log_table(limit)
+    ones = np.broadcast_to(np.float64(1.0), (limit + 1,))
+    lam_1 = dirichlet_convolution(lam, ones)
+    dev_t, _ = max_abs_prefix(np.subtract(lam_1, logs, out=lam_1))
+    mu_ln = dirichlet_convolution(tables.moebius[: limit + 1], logs)
+    dev_psi, _ = max_abs_prefix(np.subtract(lam, mu_ln, out=mu_ln))
+    return ConvolutionReport(limit=limit, max_dev_T=dev_t, max_dev_psi=dev_psi)
+
+
+def whole_array_v_identities(s, x_max, tables, profile) -> VerificationReport:
+    """verify_V_identities with dE tiled over 0..x_max (dE(1) = E(1), since
+    E(0) = 0) and each Dirichlet sum as one length-L array."""
+    step = np.diff(profile.values, prepend=profile.values[-1]).astype(np.float64)
+    de = np.resize(np.roll(step, 1), x_max + 1)
+    de[0], de[1] = 0.0, profile.values[0]
+    diff = dirichlet_convolution(tables.lam[: x_max + 1], de)
+    np.negative(diff, out=diff)
+    max_dev, witness = max_abs_prefix(_add_multiples(diff, 0, s.terms, log_table(x_max)))
+    return VerificationReport(
+        name=f"V-identities[{s.name or 'scheme'}]",
+        x_min=1,
+        x_max=x_max,
+        max_violation=max_dev,
+        passed=max_dev <= TOL,
+        witness_x=witness if max_dev > TOL else None,
     )

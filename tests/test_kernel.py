@@ -15,8 +15,8 @@ from chebsylv import (
     psi,
     psi_pi_bracket,
 )
-from chebsylv.kernel import _SEGMENT, SieveTables, lcm_identity_failures
-from oracles import chebyshev_T, log_prefix
+from chebsylv.kernel import _LOGS, _SEGMENT, SieveTables, _block_logs, lcm_identity_failures
+from oracles import chebyshev_T, log_prefix, log_table
 
 
 def brute_lambda(n: int) -> float:
@@ -34,13 +34,19 @@ def brute_lambda(n: int) -> float:
     return 0.0
 
 
-def loop_sieve(limit: int) -> SieveTables:
-    """Reference sieve: one Python pass over every prime <= limit."""
+def loop_prime_mask(limit: int) -> np.ndarray:
+    """is_prime[n] for n = 0..limit, by Eratosthenes' sieve."""
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[: min(2, limit + 1)] = False
     for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
+    return is_prime
+
+
+def loop_sieve(limit: int) -> SieveTables:
+    """Reference sieve: one Python pass over every prime <= limit."""
+    is_prime = loop_prime_mask(limit)
     lam = np.zeros(limit + 1, dtype=np.float64)
     moebius = np.ones(limit + 1, dtype=np.int8)
     moebius[0] = 0
@@ -58,7 +64,6 @@ def loop_sieve(limit: int) -> SieveTables:
         limit=limit,
         lam=lam,
         moebius=moebius,
-        is_prime=is_prime,
         psi_prefix=np.cumsum(lam),
         primes=np.flatnonzero(is_prime),
     )
@@ -89,14 +94,15 @@ def brute_convolution_devs(limit: int, tables: SieveTables) -> tuple[float, floa
 )
 def test_sieve_bit_identical_to_loop_sieve(limit):
     got, ref = build_sieve(limit), loop_sieve(limit)
-    for name in ("lam", "moebius", "is_prime", "psi_prefix", "primes"):
+    for name in ("lam", "moebius", "psi_prefix", "primes"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_sieve_peak_memory_is_its_tables():
-    # lam and psi_prefix at 8 B/n, moebius and is_prime at 1 B/n, and the
-    # int64 primes at 8 pi(L)/L, about 0.6 B/n
+    # lam and psi_prefix at 8 B/n, moebius at 1 B/n, and the int64 primes
+    # at 8 pi(L)/L, about 0.6 B/n, briefly twice while the segments' primes
+    # are joined
     limit = 10**6
     tracemalloc.start()
     try:
@@ -196,6 +202,21 @@ def test_chebyshev_T_matches_lgamma():
         )
 
 
+# Every log of the sieve checks is a slice of _LOGS, made on demand, or a view
+# of one held slice; their sums are bit-identical to the whole-array oracle's
+# only if each ln m is the same float wherever in an array it is made.
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, 2), (1, 31), (2, 1001), (7, 8), (_SEGMENT - 5, _SEGMENT + 6), (1, _SEGMENT + 1)]
+    + [(999_001, 10**6 + 1)],
+)
+def test_logs_equal_a_log_table_bit_for_bit(a, b):
+    want = log_table(b - 1)[a:b].view(np.int64)
+    assert np.array_equal(_LOGS[a:b].view(np.int64), want)
+    for limit in (b - 1, 10**6):
+        assert np.array_equal(_block_logs(limit)[a:b].view(np.int64), want)
+
+
 def test_log_prefix_matches_T():
     t = log_prefix(50)
     for x in range(1, 51):
@@ -247,11 +268,11 @@ def test_prefix_arrays_are_consistent(tables_10k):
     t = tables_10k
     assert t.psi_prefix[0] == 0.0
     assert np.all(np.diff(t.psi_prefix) >= 0)
-    counts = np.cumsum(t.is_prime)
+    counts = np.cumsum(loop_prime_mask(t.limit))
     assert [pi_count(n, t) for n in range(t.limit + 1)] == counts.tolist()
     # n around the first segment boundary of a sieve past it
     t = build_sieve(_SEGMENT + 100)
-    counts = np.cumsum(t.is_prime)
+    counts = np.cumsum(loop_prime_mask(t.limit))
     for n in (_SEGMENT - 1, _SEGMENT, _SEGMENT + 1):
         assert pi_count(n, t) == counts[n]
 

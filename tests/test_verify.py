@@ -20,7 +20,14 @@ from chebsylv import (
 )
 from chebsylv.kernel import SieveTables
 from chebsylv.verify import _BLOCK
-from oracles import chebyshev_T, dense_final_bounds, dense_selection_bounds, log_prefix
+from oracles import (
+    chebyshev_T,
+    dense_final_bounds,
+    dense_selection_bounds,
+    log_prefix,
+    whole_array_convolution_identities,
+    whole_array_v_identities,
+)
 
 # x_max on either side of a block boundary, past several blocks, and one
 # ending inside a block
@@ -95,6 +102,29 @@ def test_v_identities_catch_a_wrong_e_value(tables_10k, profiles, name, slot):
     assert not report.passed
     assert report.max_violation == pytest.approx(worst, abs=1e-9)
     assert report.witness_x == int(devs.argmax()) + 1
+
+
+# x_max on either side of the identity checks' block boundaries (_SEGMENT =
+# 2^18 entries), past several blocks, and at the largest tables here
+IDENTITY_LIMITS = (1, 2, 30, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6)
+
+
+@pytest.mark.parametrize("x_max", IDENTITY_LIMITS)
+def test_identity_checks_equal_the_whole_array_oracle(tables_1m, profiles, x_max):
+    assert check_convolution_identities(x_max, tables_1m) == whole_array_convolution_identities(
+        x_max, tables_1m
+    )
+    witnesses = set()
+    for name in sorted(BUILTINS):
+        s, profile = BUILTINS[name], profiles[name]
+        values = profile.values.copy()
+        values[0] += 1  # E(1) off by one: the check fails, with a witness
+        for p in (profile, dataclasses.replace(profile, values=values)):
+            got = verify_V_identities(s, x_max, tables_1m, p)
+            assert got == whole_array_v_identities(s, x_max, tables_1m, p), name
+            witnesses.add(got.witness_x)
+    # at x = 1 every side is 0, whatever E(1) is
+    assert None in witnesses and (x_max == 1 or len(witnesses) > 1)
 
 
 def test_v_identities_small_schemes(tables_10k, profiles):
@@ -239,7 +269,6 @@ def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
             limit=x_max,
             lam=unused,
             moebius=unused,
-            is_prime=unused,
             psi_prefix=psi_prefix,
             primes=unused,
         )
@@ -339,7 +368,7 @@ def test_selection_ties_go_to_the_first_x(profiles, lower_at, upper_at, first):
     x_max = 3 * _BLOCK + 7
     zero = np.zeros(x_max + 2)
     tables = _spiked(
-        SieveTables(limit=x_max, lam=zero, moebius=zero, is_prime=zero, psi_prefix=zero, primes=zero),
+        SieveTables(limit=x_max, lam=zero, moebius=zero, psi_prefix=zero, primes=zero),
         [(x, 1.0) for x in lower_at] + [(x, -1.0) for x in upper_at],
     )
     selected = select_terms(profiles["cheb"], "lower", 1.2)
@@ -377,12 +406,13 @@ def test_blocked_checks_work_in_a_few_block_buffers(tables_1m, profiles):
 
 
 def test_identity_checks_work_in_place(tables_1m, profiles):
-    # beyond the sieve tables, the identity checks hold a float64 result and
-    # a log or dE table (8 B/n each) and products of at most _CHUNK entries;
-    # a copy of the result, negated or differenced, adds 8 B/n
-    limit = 18 * (10**6 + 1)
+    # beyond the sieve tables, the identity checks hold a few float64 buffers
+    # of one 2^18-entry block (2 MB each): the block's sums, ln m for
+    # m <= 2^18, a fresh slice of logs, and for V the dE tile of a block and
+    # a period; measured at 7.6-10.0 B/n at 10^6
+    limit = 12 * (10**6 + 1)
     assert _peak_bytes(lambda: check_convolution_identities(10**6, tables_1m)) <= limit
-    for name in ("cheb", "nu8"):
+    for name in sorted(BUILTINS):
         check = lambda: verify_V_identities(BUILTINS[name], 10**6, tables_1m, profiles[name])
         assert _peak_bytes(check) <= limit, name
 
