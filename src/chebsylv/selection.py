@@ -7,7 +7,8 @@ standalone terms. The leading block psi(x) - psi(x/N) (lower side) and the
 psi(x) term (upper side) are set aside before matching. From period 4 on,
 the pairs closed in each period are those of the period before, shifted by
 the period; ``pair_pattern`` records that finite pattern and
-``select_terms`` keeps a pair (m, n) iff n/m >= rho. A selection holds only
+``select_terms`` keeps a pair (m, n) iff q n >= p m, reading the float rho
+as the simplest fraction p / q that rounds to it. A selection holds only
 what the bound uses and counts the pairs it drops; ``list_dropped_pairs``
 lists them for output.
 """
@@ -166,19 +167,44 @@ def _select(
 ) -> TermSelection:
     """select_terms on a precomputed pattern.
 
-    Scans whole periods up to the first one from period BLOCK_PERIOD on whose
-    pairs all have ratio <= rho; a pair with ratio exactly rho is kept. Only
-    the kept pairs are sorted and listed; the dropped ones are counted.
+    Keeps a pair iff q n >= p m, for rho read as p / q (_simplest_fraction):
+    block pair j shifted by k periods is kept iff k <= (q n_j - p m_j) /
+    ((p - q) P), a run of shifts from 0. Only kept pairs are built, after the
+    cap is checked on their exact count; the rest up to shift k_end, past
+    which no pair has ratio above rho, are counted.
     """
-    excluded = tuple(tuple(p) for p in exclude)
-    m, n, keep, k_end = _scan(pattern, rho, max_index, excluded)
-    at = np.flatnonzero(keep)
+    p, q = _simplest_fraction(rho).as_integer_ratio() if math.isfinite(rho) else (0, 1)
+    if p <= q:
+        raise OutOfRangeError("rho must be finite and exceed 1")
+    # p m, q n < p BLOCK_PERIOD P: only a rho of about 16 digits needs Python ints
+    dtype = np.int64 if p * BLOCK_PERIOD * pattern.period < 2**62 else object
+    block, prefix = (a.astype(dtype, copy=False) for a in (pattern.block, pattern.prefix))
+    num, den = q * block[:, 1] - p * block[:, 0], (p - q) * pattern.period
+    # int64 holds the runs: |num // den| <= BLOCK_PERIOD / (p / q - 1) < 2^55
+    runs = np.maximum(num // den + 1, 0).astype(np.int64, copy=False)
+    k_end = -(-int(num.max(initial=0)) // den)
+    keep_prefix = q * prefix[:, 1] >= p * prefix[:, 0]
+    prefix_kept = int(np.count_nonzero(keep_prefix))
+    total = int(np.minimum(runs, MAX_KEPT_PAIRS + 1).sum())  # clipped, so it cannot overflow
+    if prefix_kept + total > MAX_KEPT_PAIRS:
+        raise CapacityError(  # with the exact count: runs may sum past int64
+            f"side={pattern.side} at rho={rho} keeps {prefix_kept + sum(runs.tolist())} pairs, "
+            f"over the cap of {MAX_KEPT_PAIRS}; use a larger rho"
+        )
+    shift = (np.arange(total) - np.repeat(np.cumsum(runs) - runs, runs)) * pattern.period
+    shifted = np.repeat(pattern.block, runs, axis=0) + shift[:, None]
+    m, n = np.concatenate([pattern.prefix[keep_prefix], shifted]).T
+    keep = np.ones(m.size, dtype=bool) if max_index is None else m <= max_index
+    excluded = tuple(tuple(pair) for pair in exclude)
+    for em, en in excluded:
+        keep &= (m != em) | (n != en)
+    kept_pairs = _sorted_pairs(m[keep], n[keep])
     return TermSelection(
         side=pattern.side,
         rho=rho,
         leading_n=pattern.leading_n,
-        kept_pairs=_sorted_pairs(m[at], n[at]),
-        dropped_pairs=len(keep) - len(at),
+        kept_pairs=kept_pairs,
+        dropped_pairs=(k_end + 1) * len(pattern.block) + len(pattern.prefix) - len(kept_pairs),
         standalones=tuple(u for u in pattern.standalones if max_index is None or u <= max_index),
         scan_end=(BLOCK_PERIOD + k_end) * pattern.period,
         max_index=max_index,
@@ -186,51 +212,23 @@ def _select(
     )
 
 
-def _scan(
-    pattern: PairPattern,
-    rho: float,
-    max_index: int | None,
-    excluded: tuple[tuple[int, int], ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Every pair a selection at rho scans, unsorted: (m, n, keep, k_end).
-
-    The scan is the prefix, then the block shifted by k * period for k = 0 to
-    k_end; keep marks the pairs with n / m >= rho that are neither excluded
-    nor past max_index.
-    """
-    if not 1 < rho < float("inf"):  # NaN fails both comparisons
-        raise OutOfRangeError("rho must be finite and exceed 1")
-    period, (bm, bn), (pm, pn) = pattern.period, pattern.block.T, pattern.prefix.T
-    # closed form: (n + kP)/(m + kP) >= rho  <=>  k <= (n - rho m) / ((rho - 1) P)
-    reach = (bn - rho * bm) / ((rho - 1) * period)
-    kept_count = np.sum(np.floor(reach[reach >= 0]) + 1) + np.count_nonzero(pn / pm >= rho)
-    if kept_count > MAX_KEPT_PAIRS:
-        raise CapacityError(
-            f"side={pattern.side} at rho={rho} keeps about {int(kept_count)} pairs, "
-            f"over the cap of {MAX_KEPT_PAIRS}; use a larger rho"
-        )
-    # k_end is the first k at which no float ratio exceeds rho. Float ratios
-    # never rise with k (division rounds monotonically), so it is the largest
-    # reach rounded up, moved by the float test where rounding put it a step
-    # off; the pair setting k_end alone keeps about k_end shifts, so the cap
-    # bounds it
-    def exceeds(k: int) -> bool:
-        return bool(((bn + k * period) / (bm + k * period) > rho).any())
-
-    k_end = max(0, math.ceil(reach.max())) if reach.size else 0
-    while exceeds(k_end):
-        k_end += 1
-    while k_end > 0 and not exceeds(k_end - 1):
-        k_end -= 1
-    shifts = np.arange(k_end + 1, dtype=np.int64)[:, None] * period
-    m = np.concatenate([pm, (bm + shifts).ravel()])
-    n = np.concatenate([pn, (bn + shifts).ravel()])
-    keep = n / m >= rho
-    for em, en in excluded:
-        keep &= (m != em) | (n != en)
-    if max_index is not None:
-        keep &= m <= max_index
-    return m, n, keep, k_end
+def _simplest_fraction(rho: float) -> Fraction:
+    """The fraction of least denominator that rounds to the float rho: float(n /
+    m) gives back n / m for every m below about 5 * 10^7, and 1.1 gives 11/10.
+    rho = M 2^(e - 53), with a 53-bit M, is what every real strictly between
+    (4M -+ 2) / 2^(55 - e) rounds to (from 4M - 1 below a power of two); a
+    continued-fraction walk finds the simplest fraction there."""
+    mantissa, e = math.frexp(rho)
+    top, up = int(mantissa * 2.0**53), max(e, 0)
+    a, c = (4 * top - (1 if top == 1 << 52 else 2)) << up, (4 * top + 2) << up
+    b = d = 1 << (55 - min(e, 0))
+    h0, k0, h1, k1 = 0, 1, 1, 0  # the last two convergents
+    while True:  # the open interval (a / b, c / d) left after the terms so far
+        t = a // b
+        if (t + 1) * d < c:  # it holds an integer, and the least one is simplest
+            return Fraction((t + 1) * h1 + h0, (t + 1) * k1 + k0)
+        h0, k0, h1, k1 = h1, k1, t * h1 + h0, t * k1 + k0
+        a, b, c, d = d, c - t * d, b, a - t * b  # 1 / (hi - t), 1 / (lo - t); d = 0 is infinite
 
 
 def _sorted_pairs(m: np.ndarray, n: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -239,19 +237,21 @@ def _sorted_pairs(m: np.ndarray, n: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def list_dropped_pairs(profile: EProfile, sel: TermSelection) -> tuple[tuple[int, int], ...]:
-    """The pairs sel scanned but did not keep, in (m, n) order.
-
-    A selection stores only their count; this lists them again from the
-    profile sel was made from. Raises CapacityError before listing more than
-    MAX_LISTED_PAIRS.
-    """
+    """The pairs sel scanned but did not keep, in (m, n) order: every pair of
+    shifts 0 to k_end not among its kept pairs (whether a pair is kept depends
+    on (m, n) alone, so a pair closed twice is dropped twice). Raises
+    CapacityError past MAX_LISTED_PAIRS of them."""
     if sel.dropped_pairs > MAX_LISTED_PAIRS:
         raise CapacityError(
             f"side={sel.side} at rho={sel.rho} drops {sel.dropped_pairs} pairs, "
             f"over the listing budget of {MAX_LISTED_PAIRS}; use a larger rho"
         )
-    m, n, keep, _ = _scan(pair_pattern(profile, sel.side), sel.rho, sel.max_index, sel.excluded)
-    return _sorted_pairs(m[~keep], n[~keep])
+    pattern = pair_pattern(profile, sel.side)
+    shifts = np.arange(sel.scan_end // pattern.period - BLOCK_PERIOD + 1) * pattern.period
+    block = pattern.block + shifts[:, None, None]
+    m, n = np.concatenate([pattern.prefix, block.reshape(-1, 2)]).T
+    kept = set(sel.kept_pairs)
+    return tuple(pair for pair in _sorted_pairs(m, n) if pair not in kept)
 
 
 def _pair_terms(pairs: tuple[tuple[int, int], ...], opens: int) -> list[tuple[int, int]]:

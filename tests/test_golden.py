@@ -29,6 +29,7 @@ COMMANDS = {
     "select_nu7_max_index": "select nu7 --rho 1.113 --side upper --max-index 616",
     "select_nu3_upper": "select nu3 --rho 1.2 --side upper --check-domination",
     "select_nu1_lower": "select nu1 --rho 1.05 --side lower",
+    "select_nu4_tie_upper": "select nu4 --rho 1.1666666666666667 --side upper",
     "iterate_nu4_steps": "iterate nu4 --rho 1.5 --steps 5",
     "iterate_nu7_hybrid": "iterate nu7 --rho 1.1 --hybrid-lower nu6",
     "iterate_nu4_start": "iterate nu4 --rho 1.5 --steps 3 --a0 0.9 --b0 1.1",

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -23,6 +24,7 @@ from chebsylv.selection import (
     MAX_KEPT_PAIRS,
     DominationReport,
     _select,
+    _simplest_fraction,
     bound_terms,
     pair_pattern,
 )
@@ -481,8 +483,48 @@ def test_pair_pattern_on_walks_wider_than_a_byte_and_16_bits(weight, side):
 
 def test_rho_near_one_exceeds_the_pair_cap(profiles):
     # about 5 * 10^5 kept pairs: refused before any pair is enumerated
+    p = profiles["nu1"]
     with pytest.raises(CapacityError):
-        select_terms(profiles["nu1"], "lower", 1.000001)
+        select_terms(p, "lower", 1.000001)
+    # the block pair (7, 8) shifted by k periods sets a breakpoint at
+    # (8 + 2k) / (7 + 2k); with both prefix pairs, k = 9,997 keeps exactly
+    # the cap and k = 9,998 one pair more
+    assert len(select_terms(p, "lower", 20002 / 20001).kept_pairs) == MAX_KEPT_PAIRS
+    with pytest.raises(CapacityError, match=f"keeps {MAX_KEPT_PAIRS + 1} pairs, over the cap"):
+        select_terms(p, "lower", 20004 / 20003)
+    # 70,003 block pairs next to rho = 1: each keeps about 1.5 * 10^15 shifts,
+    # and together they keep more pairs than an int64 holds
+    wide = pair_pattern(e_profile(Scheme(((1, 1), (2, -2), (3, 70_000), (6, -140_000)))), "lower")
+    rho = math.nextafter(1, 2)
+    a, b = _simplest_fraction(rho).as_integer_ratio()
+    den = (a - b) * wide.period
+    kept = sum(max(0, (b * n - a * m) // den + 1) for m, n in wide.block.tolist())
+    kept += sum(b * n >= a * m for m, n in wide.prefix.tolist())
+    assert kept > 2**63
+    with pytest.raises(CapacityError, match=f"keeps {kept} pairs, over the cap"):
+        _select(wide, rho)
+
+
+def test_simplest_fraction_reads_back_ratios_and_decimals():
+    rng = random.Random(5)
+    for _ in range(5_000):
+        m = rng.randint(1, 10**7)
+        n = rng.randint(m + 1, 4 * m)
+        assert _simplest_fraction(n / m) == Fraction(n, m), (n, m)
+    assert _simplest_fraction(1.1) == Fraction(11, 10)
+    assert _simplest_fraction(1.02) == Fraction(51, 50)
+    assert _simplest_fraction(1.0003) == Fraction(10003, 10000)
+    assert _simplest_fraction(float(np.float64(1.1))) == Fraction(11, 10)
+    assert _simplest_fraction(float(2)) == 2
+    rhos = [1.1, 1.02, 1.0003, 7 / 6, 1.2000000000000002, 2.0, 4.0, 7.5, 1e20]
+    rhos += [rng.uniform(1, 3) for _ in range(1_000)]
+    for rho in rhos:
+        for x in (math.nextafter(rho, 0), rho, math.nextafter(rho, math.inf)):
+            got = _simplest_fraction(x)
+            assert float(got) == x, x
+            # the nearest fraction with a smaller denominator rounds elsewhere
+            if got.denominator > 1 and math.frexp(x)[0] != 0.5:
+                assert float(Fraction(x).limit_denominator(got.denominator - 1)) != x, x
 
 
 def dense_select(pattern, rho, max_index=None, exclude=()):
@@ -520,35 +562,52 @@ def dense_select(pattern, rho, max_index=None, exclude=()):
     )
 
 
-def _tie(pattern):
-    """The block pair of largest ratio shifted by two periods, and its ratio
-    as a threshold that this pair sits exactly on."""
-    m, n = max(pattern.block.tolist(), key=lambda pr: pr[1] / pr[0])
-    m, n = m + 2 * pattern.period, n + 2 * pattern.period
-    return (m, n), n / m
+def _ties(pattern):
+    """Block pairs with the threshold each sits exactly on, ((m, n), n / m):
+    the three pairs of largest ratio, each shifted by 0 to 2 periods."""
+    top = sorted(pattern.block.tolist(), key=lambda pr: pr[1] / pr[0])[-3:]
+    shifted = [(m + k * pattern.period, n + k * pattern.period) for m, n in top for k in range(3)]
+    return [((m, n), n / m) for m, n in shifted]
 
 
-@pytest.mark.parametrize("name", list(BUILTINS))
-def test_select_matches_dense_scan(profiles, name):
-    # near rho = 1 nu8 drops 1.5 million pairs on each side, nu7 430,000
+# every built-in, plus every tenth random scheme without the rho closest to 1
+_DENSE_SCAN_CASES = [(name, s, (1.0003, 1.002)) for name, s in BUILTINS.items()] + [
+    (f"random{i}", s, ()) for i, s in enumerate(RANDOM_SCHEMES) if i % 10 == 0
+]
+
+
+@pytest.mark.parametrize(
+    "scheme,near_one", [c[1:] for c in _DENSE_SCAN_CASES], ids=[c[0] for c in _DENSE_SCAN_CASES]
+)
+def test_select_matches_dense_scan(scheme, near_one):
+    # near rho = 1 nu8 drops 1.5 million pairs on each side, nu7 430,000; ties
+    # under 1.005 (random schemes only) are left out, as there the dense scan
+    # takes 0.1-0.2 s. 1.2000000000000002 reads as a fraction with 15-digit
+    # terms, which periods from 1,387 on (nu7, nu8) compare in Python integers
     for side in ("lower", "upper"):
-        pattern = pair_pattern(profiles[name], side)
-        pair, tie = _tie(pattern)
-        for rho in (1.0003, 1.002, 1.02, 1.2, tie):
+        pattern = pair_pattern(e_profile(scheme), side)
+        ties = [(pair, tie) for pair, tie in _ties(pattern) if tie >= 1.005]
+        for rho in near_one + (1.01, 1.02, 1.2, 1.2000000000000002) + tuple(t for _, t in ties):
+            case = (scheme.terms, side, rho)
+            try:
+                kept, dropped, standalones, scan_end = dense_select(pattern, rho)
+            except CapacityError:
+                with pytest.raises(CapacityError):
+                    _select(pattern, rho)
+                continue
             sel = _select(pattern, rho)
-            kept, dropped, standalones, scan_end = dense_select(pattern, rho)
-            case = (name, side, rho)
             assert sel.kept_pairs == kept, case
             assert sel.dropped_pairs == len(dropped), case
             assert sel.standalones == standalones, case
             assert sel.scan_end == scan_end, case
-        assert pair in _select(pattern, tie).kept_pairs, (name, side)
+        for pair, tie in ties:
+            assert pair in _select(pattern, tie).kept_pairs, (scheme.terms, side, tie)
 
 
 def test_select_memory_near_the_pair_cap(profiles):
-    # nu8's lower side at rho = 1.0003 keeps 8,340 pairs and scans 1.5
-    # million; the scan arrays peak near 37 MB, where a tuple per scanned
-    # pair took 250 MB
+    # nu8's lower side at rho = 1.0003 keeps 8,340 pairs and drops 1.5
+    # million; building the kept pairs alone peaks near 1.7 MB, where arrays
+    # of every scanned pair took 37.7 MB and a tuple per scanned pair 250 MB
     pattern = pair_pattern(profiles["nu8"], "lower")
     tracemalloc.start()
     try:
@@ -557,4 +616,4 @@ def test_select_memory_near_the_pair_cap(profiles):
     finally:
         tracemalloc.stop()
     assert len(sel.kept_pairs) == 8340 and sel.dropped_pairs == 1_496_938
-    assert peak < 75e6
+    assert peak < 5e6

@@ -87,10 +87,12 @@ def test_v_identities_match_brute_force(tables_10k, profiles, name):
         assert report.passed
 
 
-# One E value off by one, at the wrap-around slot E(P) for cheb and at E(1)
-# for nu4. Both give a deviation whose maximum over x <= 2000 is attained at
-# a single x, so the witness is not decided by round-off.
-@pytest.mark.parametrize("name, slot", [("cheb", -1), ("nu4", 0)])
+# One E value off by one, at the wrap-around slot E(P) and at E(9) for cheb
+# and at E(1) for nu4. E(P) is the one value e_profile pins to 0, so only the
+# other slots corrupt a profile the way a wrong E-profile could. Each gives a
+# deviation whose maximum over x <= 2000 is attained at a single x, so the
+# witness is not decided by round-off.
+@pytest.mark.parametrize("name, slot", [("cheb", -1), ("cheb", 8), ("nu4", 0)])
 def test_v_identities_catch_a_wrong_e_value(tables_10k, profiles, name, slot):
     values = profiles[name].values.copy()
     values[slot] += 1
