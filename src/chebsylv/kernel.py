@@ -2,11 +2,12 @@
 
 Everything here is a desk-scale exact oracle: a segmented Eratosthenes sieve
 up to ``limit`` whose Python loop runs, segment by segment, only over the
-primes p <= sqrt(limit), with psi's prefix sum and the list of primes, so that
-psi queries are O(1) and pi queries O(log pi(limit)) afterwards. Every sieve
-check is one pass over x in blocks: each block gets its Dirichlet sums from
-strided adds (_add_multiples, split at sqrt(limit) by _dirichlet_sum), and
-_running_peak carries the running sums from block to block, so a check costs
+primes p <= sqrt(limit). psi is kept as the step function it is, at the prime
+powers alone, next to the list of primes, so that psi and pi queries are each
+one binary search, O(log pi(limit)), afterwards. Every sieve check is one pass
+over x in blocks: each block gets its Dirichlet sums from strided adds
+(_add_multiples, split at sqrt(limit) by _dirichlet_sum), and _running_peak
+carries the running sums from block to block, so a check costs
 O(limit log limit) and a few block buffers beyond the tables.
 """
 
@@ -40,16 +41,20 @@ class OutOfRangeError(ValueError):
 class SieveTables:
     """Arithmetic tables for 1..limit (index 0 is padding).
 
-    lam[n] = Lambda(n) (ln p for prime powers p^k, else 0),
-    moebius[n] = mu(n), psi_prefix[n] = psi(n); primes is the sorted int64
-    array of the primes <= limit, so pi(n) is its count of entries <= n.
+    lam[n] = Lambda(n) (ln p for prime powers p^k, else 0) and
+    moebius[n] = mu(n); primes is the sorted int64 array of the primes
+    <= limit, so pi(n) is its count of entries <= n. psi changes only at the
+    prime powers: prime_powers is their sorted int64 array and
+    psi_at_powers[i] = psi(prime_powers[i]), so psi(n) is the value at the
+    last prime power <= n, or 0 below 2.
     """
 
     limit: int
     lam: np.ndarray
     moebius: np.ndarray
-    psi_prefix: np.ndarray
     primes: np.ndarray
+    prime_powers: np.ndarray
+    psi_at_powers: np.ndarray
 
 
 def _sieve_segment(lo: int, small_primes: np.ndarray, moebius: np.ndarray) -> np.ndarray:
@@ -82,7 +87,7 @@ def _sieve_segment(lo: int, small_primes: np.ndarray, moebius: np.ndarray) -> np
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Sieve Lambda, mu and the primes up to limit; attach psi's prefix sum.
+    """Sieve Lambda, mu and the primes up to limit; attach psi at the prime powers.
 
     The primes p <= sqrt(limit) come from a small sieve; every segment of
     _SEGMENT entries is then sieved by them in turn (_sieve_segment).
@@ -100,28 +105,39 @@ def build_sieve(limit: int) -> SieveTables:
             small[p * p :: p] = False
     small_primes = np.flatnonzero(small)
     moebius = np.empty(limit + 1, dtype=np.int8)
-    found = [small_primes]
-    for lo in range(0, limit + 1, _SEGMENT):
-        found.append(_sieve_segment(lo, small_primes, moebius[lo : lo + _SEGMENT]))
-    primes = np.concatenate(found)
-    moebius[0] = 0
-
+    # Lambda: math.log, not np.log, since the two differ in the last bit at
+    # some primes; ln p one segment at a time, never from a list of all primes
     lam = np.zeros(limit + 1, dtype=np.float64)
+    found, powers = [small_primes], []  # powers: the p^k, k >= 2, <= limit
     for p in small_primes.tolist():
-        logp = math.log(p)
+        lam[p] = logp = math.log(p)
         pk = p * p
         while pk <= limit:
             lam[pk] = logp
+            powers.append(pk)
             pk *= p
-    # math.log, not np.log: the two differ in the last bit at some primes.
-    lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+    for lo in range(0, limit + 1, _SEGMENT):
+        primes = _sieve_segment(lo, small_primes, moebius[lo : lo + _SEGMENT])
+        lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+        found.append(primes)
+    moebius[0] = 0
+    primes = np.concatenate(found)
+    del found
 
+    # a stable sort is a timsort here, which merges the sorted primes with
+    # the few powers in about one pass
+    prime_powers = np.concatenate((primes, np.array(powers, dtype=np.int64)))
+    prime_powers.sort(kind="stable")
+    # np.cumsum adds in sequence, and a sum >= 0 plus 0.0 is itself, so psi at
+    # the prime powers is the cumsum of all of lam there, bit for bit
+    psi_at_powers = lam[prime_powers]
     return SieveTables(
         limit=limit,
         lam=lam,
         moebius=moebius,
-        psi_prefix=np.cumsum(lam),
         primes=primes,
+        prime_powers=prime_powers,
+        psi_at_powers=np.cumsum(psi_at_powers, out=psi_at_powers),
     )
 
 
@@ -134,13 +150,25 @@ def _sieve_for(x_max: int, tables: SieveTables | None) -> SieveTables:
 
 
 def psi(x: float, tables: SieveTables) -> float:
-    """Chebyshev psi(x) = sum of Lambda(n) over n <= x."""
+    """Chebyshev psi(x) = sum of Lambda(n) over n <= x: a binary search in the
+    prime powers."""
     if x < 0:
         raise ValueError("psi requires x >= 0")
     n = math.floor(x)
     if n > tables.limit:
         raise OutOfRangeError(f"x={x} beyond sieve limit {tables.limit}")
-    return float(tables.psi_prefix[n])
+    i = int(tables.prime_powers.searchsorted(n, side="right"))
+    return float(tables.psi_at_powers[i - 1]) if i else 0.0
+
+
+def _psi_span(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
+    """psi(x) for x = lo .. hi - 1: one np.repeat of its values over the gaps
+    between the prime powers in that span."""
+    i, j = tables.prime_powers.searchsorted([lo, hi - 1], side="right").tolist()
+    first = tables.psi_at_powers[i - 1] if i else 0.0
+    steps = np.concatenate(([first], tables.psi_at_powers[i:j]))
+    edges = np.concatenate(([lo], tables.prime_powers[i:j], [hi]))
+    return np.repeat(steps, np.diff(edges))
 
 
 def pi_count(x: float, tables: SieveTables) -> int:
@@ -235,15 +263,20 @@ def _running_peak(x_max: int, block: int, fill) -> tuple[float, int]:
     # those of one cumsum over all of x
     carry = [-0.0, -0.0]
     peaks = [(-math.inf, 0), (-math.inf, 0)]
+    # one buffer for every block: a new 2 MB buffer per block can cost a
+    # page fault per 4 KB, whenever malloc hands such blocks back to the OS
+    held = np.empty(min(block, x_max))
     for lo in range(1, x_max + 1, block):
-        diffs = fill(np.zeros(min(block, x_max + 1 - lo)), lo)
+        buf = held[: min(block, x_max + 1 - lo)]
+        buf.fill(0.0)
+        diffs = fill(buf, lo)
         for i, diff in enumerate(diffs):
             diff[0] += carry[i]
             carry[i] = np.cumsum(diff, out=diff)[-1]
             if len(diffs) == 1:
                 np.abs(diff, out=diff)
             peaks[i] = _first_max(diff, lo, peaks[i])
-        del diffs, diff  # this block's buffers go before the next block's
+        del diffs, diff  # this block's other buffers go before the next block's
     worst = max(peak for peak, _ in peaks)
     return max(0.0, worst), min(x for peak, x in peaks if peak == worst)
 

@@ -16,6 +16,7 @@ from .kernel import (
     _block_logs,
     _dirichlet_sum,
     _first_max,
+    _psi_span,
     _running_peak,
     _sieve_for,
     _Slices,
@@ -166,10 +167,11 @@ def verify_final_bounds(
     tables = _sieve_for(x_max, tables)
     best = [(-math.inf, 0), (-math.inf, 0)]  # (C_low, x) and (C_high, x)
     for lo in range(100, x_max + 1, _BLOCK):
-        xs = np.arange(lo, min(lo + _BLOCK, x_max + 1), dtype=np.float64)
+        hi = min(lo + _BLOCK, x_max + 1)
+        xs = np.arange(lo, hi, dtype=np.float64)
         ln2 = np.log(xs)
         ln2 *= ln2
-        psi_v = tables.psi_prefix[lo : lo + len(xs)]
+        psi_v = _psi_span(lo, hi, tables)
         c_low = a * xs
         c_low -= psi_v
         c_low /= ln2
@@ -195,6 +197,8 @@ def verify_psi_pi(
     alpha: float, xs: list[float], tables: SieveTables
 ) -> VerificationReport:
     """psi(x) <= pi(x) ln x <= psi(x)/alpha + x^alpha ln x at every ladder point."""
+    if not xs:
+        raise OutOfRangeError("need at least one ladder point")
     worst = 0.0
     witness = None
     for x in xs:

@@ -128,7 +128,7 @@ def dense_final_bounds(a, b, x_max, tables) -> VerificationReport:
     xs = np.arange(100, x_max + 1, dtype=np.float64)
     ln2 = np.log(xs)
     ln2 *= ln2
-    psi_v = tables.psi_prefix[100 : x_max + 1]
+    psi_v = np.cumsum(tables.lam)[100 : x_max + 1]
     c_low = a * xs
     c_low -= psi_v
     c_low /= ln2

@@ -15,7 +15,14 @@ from chebsylv import (
     psi,
     psi_pi_bracket,
 )
-from chebsylv.kernel import _LOGS, _SEGMENT, SieveTables, _block_logs, lcm_identity_failures
+from chebsylv.kernel import (
+    _LOGS,
+    _SEGMENT,
+    SieveTables,
+    _block_logs,
+    _psi_span,
+    lcm_identity_failures,
+)
 from oracles import chebyshev_T, log_prefix, log_table
 
 
@@ -50,22 +57,26 @@ def loop_sieve(limit: int) -> SieveTables:
     lam = np.zeros(limit + 1, dtype=np.float64)
     moebius = np.ones(limit + 1, dtype=np.int8)
     moebius[0] = 0
+    powers = []
     for p in np.nonzero(is_prime)[0]:
         p = int(p)
         logp = math.log(p)
         pk = p
         while pk <= limit:
             lam[pk] = logp
+            powers.append(pk)
             pk *= p
         moebius[p::p] = -moebius[p::p]
         if p * p <= limit:
             moebius[p * p :: p * p] = 0
+    prime_powers = np.array(sorted(powers), dtype=np.int64)
     return SieveTables(
         limit=limit,
         lam=lam,
         moebius=moebius,
-        psi_prefix=np.cumsum(lam),
         primes=np.flatnonzero(is_prime),
+        prime_powers=prime_powers,
+        psi_at_powers=np.cumsum(lam)[prime_powers],
     )
 
 
@@ -73,7 +84,7 @@ def brute_convolution_devs(limit: int, tables: SieveTables) -> tuple[float, floa
     """Both sides of T = sum_k psi(x/k) and psi = sum_k mu(k) T(x/k) at every
     x <= limit, O(limit^2); returns the two max deviations."""
     t = log_prefix(limit)
-    psi_p = tables.psi_prefix
+    psi_p = np.cumsum(tables.lam)
     mu = tables.moebius.astype(np.float64)
     ks = np.arange(1, limit + 1)
     max_dev_t = max_dev_psi = 0.0
@@ -94,15 +105,30 @@ def brute_convolution_devs(limit: int, tables: SieveTables) -> tuple[float, floa
 )
 def test_sieve_bit_identical_to_loop_sieve(limit):
     got, ref = build_sieve(limit), loop_sieve(limit)
-    for name in ("lam", "moebius", "psi_prefix", "primes"):
+    for name in ("lam", "moebius", "primes", "prime_powers", "psi_at_powers"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+# psi from its steps must be the dense prefix sum of Lambda, bit for bit
+@pytest.mark.parametrize("limit", [1, 2, 3, 2000, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1, 10**6])
+def test_psi_steps_are_the_prefix_sum_of_lambda(limit):
+    t = build_sieve(limit)
+    dense = np.cumsum(t.lam)
+    gaps = np.diff(t.prime_powers, prepend=0, append=limit + 1)
+    steps = np.repeat(np.concatenate(([0.0], t.psi_at_powers)), gaps)
+    assert steps.tobytes() == dense.tobytes()
+    for lo, hi in [(0, limit + 1), (1, limit + 1), (limit, limit + 1), (limit // 3, limit // 2 + 1)]:
+        assert _psi_span(lo, hi, t).tobytes() == dense[lo:hi].tobytes()
+    xs = np.unique(np.linspace(0, limit, 500).astype(np.int64)).tolist()
+    assert [psi(x, t) for x in xs] == dense[xs].tolist()
+
+
 def test_sieve_peak_memory_is_its_tables():
-    # lam and psi_prefix at 8 B/n, moebius at 1 B/n, and the int64 primes
-    # at 8 pi(L)/L, about 0.6 B/n, briefly twice while the segments' primes
-    # are joined
+    # lam at 8 B/n, moebius at 1 B/n, and three int64 or float64 arrays of
+    # about pi(L) entries (the primes, the prime powers and psi at them) at
+    # 8 pi(L)/L, about 0.6 B/n each; the segments' primes are briefly held
+    # twice while they are joined
     limit = 10**6
     tracemalloc.start()
     try:
@@ -110,7 +136,14 @@ def test_sieve_peak_memory_is_its_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 19 * (limit + 1)
+    assert peak <= 1.1 * 12 * (limit + 1)
+
+
+def test_sieve_tables_take_at_most_11_bytes_per_entry(tables_1m):
+    # every array field counts, so a table added to SieveTables shows here
+    arrays = [getattr(tables_1m, f.name) for f in dataclasses.fields(SieveTables)]
+    size = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert size <= 11 * (tables_1m.limit + 1)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 30, 2000])
@@ -124,7 +157,9 @@ def test_convolution_identities_match_brute_force(tables_10k, limit):
 def test_convolution_identities_catch_a_wrong_lambda(tables_10k):
     lam = tables_10k.lam.copy()
     lam[8] = math.log(3)  # Lambda(2^3) is ln 2
-    bad = dataclasses.replace(tables_10k, lam=lam, psi_prefix=np.cumsum(lam))
+    bad = dataclasses.replace(
+        tables_10k, lam=lam, psi_at_powers=np.cumsum(lam[tables_10k.prime_powers])
+    )
     report = check_convolution_identities(2000, bad)
     dev_t, dev_psi = brute_convolution_devs(2000, bad)
     assert not report.passed
@@ -266,8 +301,8 @@ def test_psi_pi_bracket_rejects_bad_alpha(tables_10k):
 
 def test_prefix_arrays_are_consistent(tables_10k):
     t = tables_10k
-    assert t.psi_prefix[0] == 0.0
-    assert np.all(np.diff(t.psi_prefix) >= 0)
+    assert psi(0, t) == psi(1, t) == 0.0
+    assert np.all(np.diff(t.prime_powers) > 0) and np.all(np.diff(t.psi_at_powers) > 0)
     counts = np.cumsum(loop_prime_mask(t.limit))
     assert [pi_count(n, t) for n in range(t.limit + 1)] == counts.tolist()
     # n around the first segment boundary of a sieve past it

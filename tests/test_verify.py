@@ -55,7 +55,7 @@ def brute_v_devs(s, x_max, tables, profile) -> np.ndarray:
 def brute_selection_gaps(s, lower, upper, x_max, tables) -> np.ndarray:
     """max(lower - V, V - upper) at x = 1..x_max, one gather of psi(x/k) per term."""
     t = log_prefix(x_max)
-    psi_p = tables.psi_prefix
+    psi_p = np.cumsum(tables.lam)
     xs = np.arange(1, x_max + 1)
     v = np.zeros(x_max)
     for k, w in s.terms:
@@ -264,15 +264,18 @@ def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
     a, b = 0.9, 1.1
     for x_max in (2000, 10 * (_BLOCK + 100)):
         dip = x_max // 10 + offset
-        psi_prefix = np.arange(x_max + 1, dtype=np.float64)
-        psi_prefix[dip] = a * dip - 1
+        psi_dense = np.arange(x_max + 1, dtype=np.float64)
+        psi_dense[dip] = a * dip - 1
+        lam = np.diff(psi_dense, prepend=0.0)  # psi steps at every x >= 1
+        steps = np.arange(1, x_max + 1)
         unused = np.zeros(x_max + 1)
         tables = SieveTables(
             limit=x_max,
-            lam=unused,
+            lam=lam,
             moebius=unused,
-            psi_prefix=psi_prefix,
             primes=unused,
+            prime_powers=steps,
+            psi_at_powers=np.cumsum(lam)[steps],
         )
         report = verify_final_bounds(a, b, x_max, tables)
         _same_report(report, dense_final_bounds(a, b, x_max, tables))
@@ -288,6 +291,8 @@ def test_final_bounds_requires_a_below_b(tables_10k):
 def test_psi_pi_ladder(tables_100k):
     report = verify_psi_pi(0.75, [100.0, 1000.0, 10**4, 10**5], tables_100k)
     assert report.passed
+    with pytest.raises(OutOfRangeError):  # before any table is read
+        verify_psi_pi(0.75, [], None)
 
 
 def test_constant_A_values_match_table():
@@ -370,7 +375,14 @@ def test_selection_ties_go_to_the_first_x(profiles, lower_at, upper_at, first):
     x_max = 3 * _BLOCK + 7
     zero = np.zeros(x_max + 2)
     tables = _spiked(
-        SieveTables(limit=x_max, lam=zero, moebius=zero, psi_prefix=zero, primes=zero),
+        SieveTables(
+            limit=x_max,
+            lam=zero,
+            moebius=zero,
+            primes=zero,
+            prime_powers=zero,
+            psi_at_powers=zero,
+        ),
         [(x, 1.0) for x in lower_at] + [(x, -1.0) for x in upper_at],
     )
     selected = select_terms(profiles["cheb"], "lower", 1.2)
