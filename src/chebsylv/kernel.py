@@ -4,11 +4,12 @@ Everything here is a desk-scale exact oracle: a segmented Eratosthenes sieve
 up to ``limit`` whose Python loop runs, segment by segment, only over the
 primes p <= sqrt(limit). psi is kept as the step function it is, at the prime
 powers alone, next to the list of primes, so that psi and pi queries are each
-one binary search, O(log pi(limit)), afterwards. Every sieve check is one pass
-over x in blocks: each block gets its Dirichlet sums from strided adds
-(_add_multiples, split at sqrt(limit) by _dirichlet_sum), and _running_peak
-carries the running sums from block to block, so a check costs
-O(limit log limit) and a few block buffers beyond the tables.
+one binary search, O(log pi(limit)), afterwards, and a check on psi itself
+can read it at the steps alone. Every check of a Dirichlet sum is one pass
+over x in blocks: each block gets its sums from strided adds (_add_multiples,
+split at sqrt(limit) by _dirichlet_sum), and _running_peak carries the
+running sums from block to block, so a check costs O(limit log limit) and a
+few block buffers beyond the tables.
 """
 
 from __future__ import annotations
@@ -161,16 +162,6 @@ def psi(x: float, tables: SieveTables) -> float:
     return float(tables.psi_at_powers[i - 1]) if i else 0.0
 
 
-def _psi_span(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
-    """psi(x) for x = lo .. hi - 1: one np.repeat of its values over the gaps
-    between the prime powers in that span."""
-    i, j = tables.prime_powers.searchsorted([lo, hi - 1], side="right").tolist()
-    first = tables.psi_at_powers[i - 1] if i else 0.0
-    steps = np.concatenate(([first], tables.psi_at_powers[i:j]))
-    edges = np.concatenate(([lo], tables.prime_powers[i:j], [hi]))
-    return np.repeat(steps, np.diff(edges))
-
-
 def pi_count(x: float, tables: SieveTables) -> int:
     """Number of primes <= x: a binary search in the primes, kept int64 so that
     searchsorted casts no copy of them to compare with an int."""
@@ -244,11 +235,11 @@ def _dirichlet_sum(f: np.ndarray, g, limit: int):
     )
 
 
-def _first_max(values: np.ndarray, lo: int, best: tuple[float, int]) -> tuple[float, int]:
-    """(max, x) of values, whose entry i belongs to x = lo + i, if that max
+def _first_max(values: np.ndarray, xs, best: tuple[float, int]) -> tuple[float, int]:
+    """(max, x) of values, whose entry i belongs to x = xs[i], if that max
     exceeds best[0]; else best. On ties the earlier x wins."""
     i = int(values.argmax())
-    return (float(values[i]), lo + i) if values[i] > best[0] else best
+    return (float(values[i]), int(xs[i])) if values[i] > best[0] else best
 
 
 def _running_peak(x_max: int, block: int, fill) -> tuple[float, int]:
@@ -275,7 +266,7 @@ def _running_peak(x_max: int, block: int, fill) -> tuple[float, int]:
             carry[i] = np.cumsum(diff, out=diff)[-1]
             if len(diffs) == 1:
                 np.abs(diff, out=diff)
-            peaks[i] = _first_max(diff, lo, peaks[i])
+            peaks[i] = _first_max(diff, range(lo, lo + len(diff)), peaks[i])
         del diffs, diff  # this block's other buffers go before the next block's
     worst = max(peak for peak, _ in peaks)
     return max(0.0, worst), min(x for peak, x in peaks if peak == worst)

@@ -16,7 +16,6 @@ from .kernel import (
     _block_logs,
     _dirichlet_sum,
     _first_max,
-    _psi_span,
     _running_peak,
     _sieve_for,
     _Slices,
@@ -28,9 +27,11 @@ from .selection import TermSelection, bound_terms
 # Float tolerance of the V-identity and selection-bound checks.
 TOL = 1e-6
 
-# Entries of x per block of the selection- and final-bound scans: each block
-# buffer is 512 KB of float64, which stays in cache.
+# Entries of x per block of the selection-bound scan: each block buffer is
+# 512 KB of float64, which stays in cache.
 _BLOCK = 1 << 16
+# Pieces of psi per chunk of the final-bound check: 256 KB per float64 array.
+_PIECES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -156,28 +157,56 @@ def verify_final_bounds(
 
     C_low = max (a x - psi(x)) / ln^2 x and C_high = max (psi(x) - b x) / ln^2 x
     over 100 <= x <= x_max; passes when both maxima are attained before
-    x_max / 10 (the empirical constants stabilize instead of growing). One
-    pass over x in blocks of _BLOCK entries, so the working memory is
-    O(_BLOCK), about 2.5 MB, for every x_max.
+    x_max / 10 (the empirical constants stabilize instead of growing).
+    a and b must be finite with 0 <= a < b, and b x_max must not overflow.
+
+    psi is constant, c >= 0, on each piece [u, v]: u = 100 or a prime power
+    in (100, x_max], v one less than the next such u, or x_max. For
+    x >= 100 > e^2 and 0 <= a < b,
+        d/dx (a x - c) / ln^2 x =  [a (ln x - 2) + 2c/x] / ln^3 x > 0,
+        d/dx (c - b x) / ln^2 x = -[b (ln x - 2) + 2c/x] / ln^3 x < 0,
+    so on each piece C_low peaks only at v and C_high only at u. With
+    c = psi(x) ~ x the slope is at least about 2 / ln^3 x, 4e-4 per unit step
+    at 10^7, where the values' ulp is below 1e-11, so rounding cannot reorder
+    a piece's points, and the first x of each maximum is one of these ends.
+    Each end is evaluated with the same float operations as a dense scan, so
+    the report is the same bit for bit, from O(pi(x_max)) points in chunks
+    of _PIECES pieces.
     """
-    if a >= b:
-        raise OutOfRangeError("require a < b")
+    if not 0 <= a < b < math.inf:  # NaN fails every comparison
+        raise OutOfRangeError("require finite a and b with 0 <= a < b")
     if x_max < 100:
         raise OutOfRangeError("x_max must be >= 100")
+    if b * x_max == math.inf:  # and so a x and b x are finite at every x
+        raise OutOfRangeError(f"b * x_max overflows for b={b}")
     tables = _sieve_for(x_max, tables)
+    powers, psi_at = tables.prime_powers, tables.psi_at_powers
+    # piece t, t = i - 1 .. j - 1, starts at powers[t] (at 100 for the first)
+    # and has psi = psi_at[t]; 2 <= 100 is a prime power, so i >= 1
+    i, j = powers.searchsorted([100, x_max], side="right").tolist()
     best = [(-math.inf, 0), (-math.inf, 0)]  # (C_low, x) and (C_high, x)
-    for lo in range(100, x_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, x_max + 1)
-        xs = np.arange(lo, hi, dtype=np.float64)
+    for t in range(i - 1, j, _PIECES):
+        end = min(t + _PIECES, j)
+        psi_v = psi_at[t:end]
+        # the chunk's u and the next piece's u
+        edges = np.concatenate(
+            (powers[t:end], [powers[end] if end < j else x_max + 1]), dtype=np.float64
+        )
+        edges[0] = max(edges[0], 100.0)
+        xs = np.subtract(edges[1:], 1.0)  # v
         ln2 = np.log(xs)
         ln2 *= ln2
-        psi_v = _psi_span(lo, hi, tables)
         c_low = a * xs
         c_low -= psi_v
         c_low /= ln2
-        c_high = np.subtract(psi_v, np.multiply(xs, b, out=xs), out=xs)
+        best[0] = _first_max(c_low, xs, best[0])
+        del c_low
+        xs = edges[:-1]  # u
+        ln2 = np.log(xs, out=ln2)
+        ln2 *= ln2
+        c_high = np.subtract(psi_v, np.multiply(xs, b))
         c_high /= ln2
-        best = [_first_max(c, lo, peak) for c, peak in zip((c_low, c_high), best)]
+        best[1] = _first_max(c_high, xs, best[1])
     (c_low, x_low), (c_high, x_high) = best
     cutoff = x_max // 10
     passed = x_low < cutoff and x_high < cutoff

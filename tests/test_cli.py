@@ -317,6 +317,11 @@ def test_floats_have_12_significant_digits(capsys):
         "iterate nu4 --rho 1.5 --steps -1",
         "verify final-bounds --a 1.2 --b 1.1 --limit 1000",
         "verify final-bounds --limit 50",
+        "verify final-bounds --a nan --limit 10000",
+        "verify final-bounds --b nan --limit 10000",
+        "verify final-bounds --b inf --limit 10000",
+        "verify final-bounds --a -0.5 --limit 10000",
+        "verify final-bounds --a 1e307 --b 1.5e307 --limit 10000",
         "verify psi-pi --alpha 1.5 --limit 1000",
         "verify psi-pi --limit 1",
         "verify asymptotic --scheme cheb --limit 150",

@@ -9,6 +9,7 @@ Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
 import os
 import sys
 
@@ -61,6 +62,18 @@ def test_cli_output_matches_golden(capsys, name):
     assert code == 0
     with open(_golden_path(name)) as fh:
         assert out == fh.read()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite float {name} in CLI JSON")
+
+
+# Python's json writes NaN and +-Infinity, which are not JSON; no golden
+# output may hold one
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_is_strict_json(capsys, name):
+    main(COMMANDS[name].split())
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
 
 def _regenerate() -> None:

@@ -20,7 +20,6 @@ from chebsylv.kernel import (
     _SEGMENT,
     SieveTables,
     _block_logs,
-    _psi_span,
     lcm_identity_failures,
 )
 from oracles import chebyshev_T, log_prefix, log_table
@@ -118,8 +117,6 @@ def test_psi_steps_are_the_prefix_sum_of_lambda(limit):
     gaps = np.diff(t.prime_powers, prepend=0, append=limit + 1)
     steps = np.repeat(np.concatenate(([0.0], t.psi_at_powers)), gaps)
     assert steps.tobytes() == dense.tobytes()
-    for lo, hi in [(0, limit + 1), (1, limit + 1), (limit, limit + 1), (limit // 3, limit // 2 + 1)]:
-        assert _psi_span(lo, hi, t).tobytes() == dense[lo:hi].tobytes()
     xs = np.unique(np.linspace(0, limit, 500).astype(np.int64)).tolist()
     assert [psi(x, t) for x in xs] == dense[xs].tolist()
 

@@ -19,7 +19,7 @@ from chebsylv import (
     verify_selection_bounds,
 )
 from chebsylv.kernel import SieveTables
-from chebsylv.verify import _BLOCK
+from chebsylv.verify import _BLOCK, _PIECES
 from oracles import (
     chebyshev_T,
     dense_final_bounds,
@@ -255,8 +255,9 @@ def test_final_bounds_bad_constants(tables_1m):
     assert report.witness_x is not None
 
 
-# For the larger x_max, x_max // 10 is the first x of the scan's second
-# block, so the dip before, at or past the cutoff straddles a block boundary.
+# psi steps at every x here, so each x >= 100 is a piece; for the larger
+# x_max, x_max // 10 = 100 + 2 * _PIECES is the first x of the third chunk
+# of pieces, so the dip before, at or past the cutoff straddles a chunk.
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "past"])
 def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
     # psi(x) = x but for one dip to a x - 1 at x_max // 10 + offset: C_low
@@ -286,6 +287,17 @@ def test_final_bounds_cutoff_is_a_tenth_of_x_max(offset):
 def test_final_bounds_requires_a_below_b(tables_10k):
     with pytest.raises(ValueError):
         verify_final_bounds(1.2, 1.1, 10**4, tables_10k)
+
+
+# the piece-end argument needs finite constants with 0 <= a < b, and a
+# finite b x_max keeps C_low and C_high finite
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nan, 1.0765), (0.9226, math.nan), (0.9226, math.inf), (-0.5, 1.0765), (1e300, 1e305)],
+)
+def test_final_bounds_refuses_non_finite_or_negative_constants_first(a, b):
+    with pytest.raises(OutOfRangeError):
+        verify_final_bounds(a, b, 10**4, _NoTables())
 
 
 def test_psi_pi_ladder(tables_100k):
@@ -394,9 +406,15 @@ def test_selection_ties_go_to_the_first_x(profiles, lower_at, upper_at, first):
     assert (got.max_violation, got.witness_x) == (1.0, first)
 
 
-@pytest.mark.parametrize("a, b", [(0.9226, 1.0765), (0.93, 1.07), (1.1, 1.2), (0.5, 0.6)])
+@pytest.mark.parametrize(
+    "a, b", [(0.9226, 1.0765), (0.93, 1.07), (1.1, 1.2), (0.5, 0.6), (0.0, 0.5)]
+)
 def test_blocked_final_bounds_match_dense_oracle(tables_1m, a, b):
-    for x_max in (100, 101, _BLOCK + 99, _BLOCK + 100, _BLOCK + 101, 3 * _BLOCK + 7, 10**5, 10**6):
+    # 127 and 128 are prime powers; the second chunk of pieces starts at u
+    powers = tables_1m.prime_powers
+    u = int(powers[powers.searchsorted(100, side="right") - 1 + _PIECES])
+    edges = (100, 101, 127, 128, 129, 131, u - 1, u, u + 1)
+    for x_max in edges + (_BLOCK + 99, _BLOCK + 100, _BLOCK + 101, 3 * _BLOCK + 7, 10**5, 10**6):
         got = verify_final_bounds(a, b, x_max, tables_1m)
         _same_report(got, dense_final_bounds(a, b, x_max, tables_1m))
 
@@ -416,7 +434,8 @@ def test_blocked_checks_work_in_a_few_block_buffers(tables_1m, profiles):
     upper = select_terms(profiles["nu8"], "upper", 1.02)
     limit = 4 * 2**20
     assert _peak_bytes(lambda: verify_selection_bounds(BUILTINS["nu8"], lower, upper, 10**6, tables_1m)) <= limit
-    assert _peak_bytes(lambda: verify_final_bounds(0.9226, 1.0765, 10**6, tables_1m)) <= limit
+    # four float64 arrays of one chunk of 2^15 pieces, 256 KB each
+    assert _peak_bytes(lambda: verify_final_bounds(0.9226, 1.0765, 10**6, tables_1m)) <= 2 * 2**20
 
 
 def test_identity_checks_work_in_place(tables_1m, profiles):
