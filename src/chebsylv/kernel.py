@@ -28,6 +28,8 @@ LCM_CAP = 10**4
 _SEGMENT = 1 << 18
 # Entries per slice of a product c * g(m) in _add_multiples (512 KB of float64).
 _CHUNK = 1 << 16
+# long double is the x87 80-bit format, with 11 more fraction bits than float64
+_EXTENDED = np.finfo(np.longdouble).nmant == 63
 
 
 class CapacityError(ValueError):
@@ -87,6 +89,34 @@ def _sieve_segment(lo: int, small_primes: np.ndarray, moebius: np.ndarray) -> np
     return primes
 
 
+def _log_primes(primes: np.ndarray) -> np.ndarray:
+    """ln p for each p in primes, bit for bit as math.log gives it.
+
+    With x87 long double, ln p is np.log in long double, rounded to float64,
+    and math.log is called only where that rounding is close: where the long
+    double result lies within 1/32 ULP of a float64 rounding midpoint, or
+    rounds to a power of two (whose ULP below is half the ULP above). x87 logl
+    is within about 2^-11 ULP of a double of the exact ln p, and glibc's log,
+    which math.log calls, within 0.519 ULP; so an exact ln p more than about
+    0.03 ULP from a midpoint rounds to the same double in both. On other
+    platforms every prime takes math.log. tests/test_kernel.py checks every
+    prime up to SIEVE_CAP against math.log.
+    """
+    if _EXTENDED:
+        z = np.log(primes.astype(np.longdouble))
+        logs = z.astype(np.float64)
+        # z - logs is exact in long double, and has few enough bits for float64
+        gap = np.subtract(z, logs, out=z).astype(np.float64)
+        frac, exp = np.frexp(logs)  # logs = frac 2^exp, 1/2 <= frac < 1: ULP 2^(exp - 53)
+        ulps = np.abs(np.ldexp(gap, 53 - exp, out=gap), out=gap)
+        near = np.flatnonzero((ulps >= 0.5 - 1 / 32) | (frac == 0.5))
+    else:
+        logs = np.empty(primes.size)
+        near = np.arange(primes.size)
+    logs[near] = np.fromiter(map(math.log, primes[near].tolist()), np.float64, near.size)
+    return logs
+
+
 def build_sieve(limit: int) -> SieveTables:
     """Sieve Lambda, mu and the primes up to limit; attach psi at the prime powers.
 
@@ -106,8 +136,8 @@ def build_sieve(limit: int) -> SieveTables:
             small[p * p :: p] = False
     small_primes = np.flatnonzero(small)
     moebius = np.empty(limit + 1, dtype=np.int8)
-    # Lambda: math.log, not np.log, since the two differ in the last bit at
-    # some primes; ln p one segment at a time, never from a list of all primes
+    # Lambda: ln p as math.log gives it (_log_primes), one segment at a time,
+    # never from a list of all primes
     lam = np.zeros(limit + 1, dtype=np.float64)
     found, powers = [small_primes], []  # powers: the p^k, k >= 2, <= limit
     for p in small_primes.tolist():
@@ -119,7 +149,7 @@ def build_sieve(limit: int) -> SieveTables:
             pk *= p
     for lo in range(0, limit + 1, _SEGMENT):
         primes = _sieve_segment(lo, small_primes, moebius[lo : lo + _SEGMENT])
-        lam[primes] = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+        lam[primes] = _log_primes(primes)
         found.append(primes)
     moebius[0] = 0
     primes = np.concatenate(found)
@@ -150,25 +180,25 @@ def _sieve_for(x_max: int, tables: SieveTables | None) -> SieveTables:
     return tables if tables is not None and tables.limit >= x_max else build_sieve(x_max)
 
 
+def _floor_in_range(x: float, tables: SieveTables) -> int:
+    """floor(x), once 0 <= floor(x) <= tables.limit; NaN and +-inf are refused
+    with the other x outside that range, before any table is read."""
+    if not 0 <= x < tables.limit + 1:  # every comparison with NaN is false
+        raise OutOfRangeError(f"x={x} outside [0, sieve limit {tables.limit}]")
+    return math.floor(x)
+
+
 def psi(x: float, tables: SieveTables) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) over n <= x: a binary search in the
     prime powers."""
-    if x < 0:
-        raise ValueError("psi requires x >= 0")
-    n = math.floor(x)
-    if n > tables.limit:
-        raise OutOfRangeError(f"x={x} beyond sieve limit {tables.limit}")
-    i = int(tables.prime_powers.searchsorted(n, side="right"))
+    i = int(tables.prime_powers.searchsorted(_floor_in_range(x, tables), side="right"))
     return float(tables.psi_at_powers[i - 1]) if i else 0.0
 
 
 def pi_count(x: float, tables: SieveTables) -> int:
     """Number of primes <= x: a binary search in the primes, kept int64 so that
     searchsorted casts no copy of them to compare with an int."""
-    n = math.floor(x)
-    if n > tables.limit:
-        raise OutOfRangeError(f"x={x} beyond sieve limit {tables.limit}")
-    return int(tables.primes.searchsorted(n, side="right"))
+    return int(tables.primes.searchsorted(_floor_in_range(x, tables), side="right"))
 
 
 def _add_multiples(buf: np.ndarray, lo: int, terms, g, start: int = 1) -> np.ndarray:

@@ -15,9 +15,11 @@ from chebsylv import (
     psi,
     psi_pi_bracket,
 )
+from chebsylv import kernel
 from chebsylv.kernel import (
     _LOGS,
     _SEGMENT,
+    SIEVE_CAP,
     SieveTables,
     _block_logs,
     lcm_identity_failures,
@@ -107,6 +109,46 @@ def test_sieve_bit_identical_to_loop_sieve(limit):
     for name in ("lam", "moebius", "primes", "prime_powers", "psi_at_powers"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def counted_math_log(monkeypatch) -> list[int]:
+    """Patch math.log to count its calls; returns the one-entry counter."""
+    calls, log = [0], math.log
+
+    def counting(x):
+        calls[0] += 1
+        return log(x)
+
+    monkeypatch.setattr(math, "log", counting)
+    return calls
+
+
+def test_lambda_is_math_log_at_every_prime_up_to_the_cap():
+    t = build_sieve(SIEVE_CAP)
+    ref = np.fromiter(map(math.log, t.primes.tolist()), np.float64, t.primes.size)
+    assert np.array_equal(t.lam[t.primes].view(np.int64), ref.view(np.int64))
+
+
+# where long double is no wider than float64, every prime takes math.log
+@pytest.mark.parametrize("limit", [10**5, _SEGMENT + 1])
+def test_sieve_without_extended_precision_matches_loop_sieve(limit, monkeypatch):
+    ref = loop_sieve(limit)
+    monkeypatch.setattr(kernel, "_EXTENDED", False)
+    calls = counted_math_log(monkeypatch)
+    got = build_sieve(limit)
+    assert calls[0] == got.primes.size
+    for name in ("lam", "moebius", "primes", "prime_powers", "psi_at_powers"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.skipif(not kernel._EXTENDED, reason="long double is not x87 extended")
+def test_most_primes_take_the_long_double_log(monkeypatch):
+    # about 1/16 of the primes lie within 1/32 ULP of a rounding midpoint; a
+    # slip that sent them all to math.log would stay exact, and show only here
+    calls = counted_math_log(monkeypatch)
+    t = build_sieve(10**6)
+    assert calls[0] <= t.primes.size / 8
 
 
 # psi from its steps must be the dense prefix sum of Lambda, bit for bit
@@ -218,6 +260,21 @@ def test_psi_out_of_range(tables_10k):
         psi(10**4 + 1, tables_10k)
     with pytest.raises(OutOfRangeError):
         pi_count(10**5, tables_10k)
+    # floor(x) is the limit itself
+    assert pi_count(10**4 + 0.5, tables_10k) == 1229
+
+
+@pytest.mark.parametrize("x", [-1, -0.5, math.nan, math.inf, -math.inf])
+def test_psi_and_pi_count_refuse_negative_and_non_finite_x(tables_10k, x):
+    for f in (psi, pi_count):
+        with pytest.raises(OutOfRangeError):
+            f(x, tables_10k)
+
+
+@pytest.mark.parametrize("x", [-1, math.nan, math.inf, -math.inf])
+def test_psi_pi_bracket_refuses_negative_and_non_finite_x(tables_10k, x):
+    with pytest.raises(OutOfRangeError):
+        psi_pi_bracket(x, 0.75, tables_10k)
 
 
 def test_build_sieve_capacity_guard():
