@@ -39,7 +39,7 @@ from .selection import (
     selection_step_function,
 )
 from .iteration import IterationError, build_recurrence, fixed_point, iterate
-from .sweep import _optimize, _sweep
+from .sweep import _sweep
 from .verify import (
     verify_V_identities,
     verify_asymptotic_A,
@@ -222,13 +222,13 @@ def _cmd_iterate(args) -> dict:
 def _cmd_sweep(args) -> dict:
     s = resolve_scheme(args.scheme)
     window = (args.rho_min, args.rho_max, args.step)
-    rows, make_row = _sweep(s, *window, _parse_excludes(args.exclude))
+    rows, optimum = _sweep(s, *window, _parse_excludes(args.exclude), optimize=args.refine)
     table = [_fields(r) for r in rows]
     if args.csv:
         _write_csv(args.csv, list(table[0]), (row.values() for row in table))
     payload = {"scheme": render_scheme(s), "rows": table}
-    if args.refine:  # the optimum searched on the same rows and row factory
-        payload["optimum"] = _optimize(rows, make_row, *window)
+    if args.refine:
+        payload["optimum"] = optimum
     return payload
 
 

@@ -1,17 +1,20 @@
 """Threshold sweeps: tabulate limits, eigenvalues, and term counts over rho.
 
 Every row is read from the exact fixed point of ``iteration``. The pairs kept
-at any rho >= rho_min are the pairs kept at rho_min whose ratio reaches rho,
-so rows that keep the same pair counts share one exact solve, and each new
-count's exact sums are cut back from the nearest larger count already summed.
+at rho >= rho_min are those kept at rho_min whose ratio n/m reaches rho, so a
+selection is constant on each plateau (r_prev, r] between neighbouring kept
+ratios. Rows come from one rising pass that solves once per plateau, and the
+optimum from the plateaus near each objective's best grid row, each solved at a
+rho that prints, to 12 digits, on its own plateau.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 from .iteration import IterationError, _recurrence, fixed_point
@@ -36,78 +39,77 @@ class SweepRow:
     converges: bool
 
 
-def _prefix_sums(
-    pairs: list[tuple[int, int]], extra_b: Fraction
-) -> Callable[[int], tuple[Fraction, Fraction]]:
-    """(sum 1/m, sum 1/n + extra_b) over pairs[:count], for any count.
-
-    All the pairs are summed once; a new count takes off the pairs between
-    it and the nearest count above it that is already summed.
-    """
-
-    def total(part: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
-        return _reciprocal_sum(m for m, _ in part), _reciprocal_sum(n for _, n in part)
-
-    a, b = total(pairs)
-    counts, sums = [len(pairs)], {len(pairs): (a, b + extra_b)}
-
-    def at(count: int) -> tuple[Fraction, Fraction]:
-        if count not in sums:
-            i = bisect.bisect(counts, count)
-            (a, b), (da, db) = sums[counts[i]], total(pairs[count : counts[i]])
-            sums[count] = (a - da, b - db)
-            counts.insert(i, count)
-        return sums[count]
-
-    return at
+def _sums(pairs: list[tuple[int, int]], extra_b: Fraction = Fraction(0)) -> list[Fraction]:
+    """[sum 1/m, sum 1/n + extra_b] over the pairs (m, n), exactly."""
+    return [_reciprocal_sum(m for m, _ in pairs), _reciprocal_sum(n for _, n in pairs) + extra_b]
 
 
-def _row_maker(
+def _table(
     s: Scheme, rho_min: float, exclude: tuple[tuple[int, int], ...]
-) -> Callable[[float], SweepRow]:
-    """SweepRow factory valid for every rho >= rho_min."""
-    profile = e_profile(s)
-    A = constant_A(s)
+) -> tuple[list[float], Callable[[list[float]], Iterator[SweepRow]]]:
+    """The tops of the plateaus of rho >= rho_min, rising: every kept ratio n / m
+    of both sides, then inf; and rows(rhos), the SweepRows of rising rhos >= rho_min.
 
-    def side_state(side: str):
-        # only the kept pairs and standalones feed the recurrence
+    A float n / m orders against a float rho as _select's test q n >= p m does: rounding
+    is monotone, and _simplest_fraction(n / m) == Fraction(n, m) for m below about 5 * 10^7.
+    """
+    profile, A = e_profile(s), constant_A(s)
+    sides = []  # kept pairs by rising n/m, their ratios, sum of 1/u over standalones, other terms
+    for side in ("lower", "upper"):
         sel = _select(pair_pattern(profile, side), rho_min, exclude=exclude)
-        pairs = sorted(sel.kept_pairs, key=lambda p: -(p[1] / p[0]))
-        neg_ratios = [-(n / m) for m, n in pairs]
-        sums = _prefix_sums(pairs, _reciprocal_sum(sel.standalones))
-        return neg_ratios, sums, sel.n_terms - 2 * len(pairs)
+        pairs = sorted(sel.kept_pairs, key=lambda p: p[1] / p[0])
+        extra = _reciprocal_sum(sel.standalones), sel.n_terms - 2 * len(pairs)
+        sides.append((pairs, [n / m for m, n in pairs], *extra))
 
-    (lower_neg, upper_neg), sums, base_terms = zip(*map(side_state, ("lower", "upper")))
-    solved: dict = {}
+    def rows(rhos: list[float]) -> Iterator[SweepRow]:
+        if not rhos:
+            return
+        starts = [bisect_left(ratios, rhos[0]) for _, ratios, _, _ in sides]
+        sums = [_sums(pairs[i:], extra) for i, (pairs, _, extra, _) in zip(starts, sides)]
+        solved = None
+        for rho in rhos:
+            for k, (pairs, ratios, _, _) in enumerate(sides):
+                i = bisect_left(ratios, rho, starts[k])
+                if i > starts[k]:  # the pairs of ratio below rho drop out
+                    sums[k] = [x - d for x, d in zip(sums[k], _sums(pairs[starts[k] : i]))]
+                    starts[k], solved = i, None
+            if solved is None:  # a new plateau
+                fp = fixed_point(_recurrence(*sums, A, profile.n, A))
+                # a complex-conjugate pair is reported by its modulus
+                lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in fp.eigenvalues)
+                counts = (base + 2 * (len(p) - i) for i, (p, _, _, base) in zip(starts, sides))
+                ratio = fp.b_limit / fp.a_limit if fp.a_limit else math.inf
+                solved = (fp.a_limit, fp.b_limit, ratio, lam1, lam2, *counts, fp.converges)
+            yield SweepRow(rho, *solved)
 
-    def make_row(rho: float) -> SweepRow:
-        counts = (bisect.bisect_right(lower_neg, -rho), bisect.bisect_right(upper_neg, -rho))
-        if counts not in solved:
-            lower, upper = (at(c) for at, c in zip(sums, counts))
-            fp = fixed_point(_recurrence(lower, upper, A, profile.n, A))
-            # a complex-conjugate pair is reported by its modulus
-            lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in fp.eigenvalues)
-            solved[counts] = (
-                fp.a_limit,
-                fp.b_limit,
-                fp.b_limit / fp.a_limit if fp.a_limit else math.inf,
-                lam1,
-                lam2,
-                *(base + 2 * c for base, c in zip(base_terms, counts)),
-                fp.converges,
-            )
-        return SweepRow(rho, *solved[counts])
-
-    return make_row
+    return sorted(r for _, ratios, _, _ in sides for r in ratios) + [math.inf], rows
 
 
-def _grid(rho_min: float, rho_max: float, step: float) -> list[float]:
-    if not (1 < rho_min < rho_max < math.inf and 0 < step < math.inf):
-        raise OutOfRangeError("require 1 < rho_min < rho_max and 0 < step, all finite")
-    span = (rho_max - rho_min) / step + 1e-9  # may overflow to inf
-    if span >= MAX_GRID_POINTS:
-        raise CapacityError(f"{span + 1:.3g} grid points, over the cap of {MAX_GRID_POINTS}")
-    return [rho_min + i * step for i in range(int(span) + 1)]
+@dataclass(frozen=True)
+class OptimizeResult:
+    best_a: SweepRow
+    best_b: SweepRow
+    best_ratio: SweepRow
+    residual: float  # |rho_opt - b/a| at the ratio optimum
+
+
+def _label(rho: float) -> float:
+    """The largest decimal of 12 significant digits <= rho. The CLI prints floats to
+    12 digits, so this rho reads back as itself and keeps the terms it is solved at."""
+    d = Decimal(rho)
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 11), ROUND_FLOOR))
+
+
+def _self_consistent(row: SweepRow, ratios: list[float], lo: float, hi: float) -> SweepRow:
+    """row moved on its plateau of [lo, hi] to the self-consistent rho = b/a, or to the
+    plateau's top when b/a lies above it, or to the 12-digit decimal below either when it
+    would print (at 12 digits) off the plateau. A b/a below the plateau leaves row as it is."""
+    i = bisect_left(ratios, row.rho)  # row's plateau (ratios[i - 1], ratios[i]]
+    target = min(row.ratio, ratios[i], hi)
+    for rho in (target, _label(target)):
+        if all(lo <= x and bisect_left(ratios, x) == i for x in (rho, float(f"{rho:.12g}"))):
+            return replace(row, rho=rho)
+    return row
 
 
 def _sweep(
@@ -116,11 +118,38 @@ def _sweep(
     rho_max: float,
     step: float,
     exclude: tuple[tuple[int, int], ...],
-) -> tuple[list[SweepRow], Callable[[float], SweepRow]]:
-    """The grid rows and the row factory that made them."""
-    grid = _grid(rho_min, rho_max, step)
-    make_row = _row_maker(s, rho_min, exclude)
-    return [make_row(rho) for rho in grid], make_row
+    optimize: bool = False,
+) -> tuple[list[SweepRow], OptimizeResult | None]:
+    """The grid rows, and with optimize the optimum searched around them."""
+    if not (1 < rho_min < rho_max < math.inf and 0 < step < math.inf):
+        raise OutOfRangeError("require 1 < rho_min < rho_max and 0 < step, all finite")
+    span = (rho_max - rho_min) / step + 1e-9  # may overflow to inf
+    if span >= MAX_GRID_POINTS:
+        raise CapacityError(f"{span + 1:.3g} grid points, over the cap of {MAX_GRID_POINTS}")
+    grid = [rho_min + i * step for i in range(int(span) + 1)]
+    ratios, rows = _table(s, rho_min, exclude)
+    grid_rows = list(rows(grid))
+    if not optimize:
+        return grid_rows, None
+    usable = [r for r in grid_rows if r.converges and r.a_limit > 0]
+    if not usable:
+        raise IterationError("no converging grid point in the sweep range")
+    keys = (lambda r: -r.a_limit, lambda r: r.b_limit, lambda r: r.ratio)
+    hi = max(rho_max, grid[-1])  # grid points may pass rho_max by rounding
+    # the plateaus within two steps of each best grid row, and the one of b/a in the window
+    best = [min(usable, key=key) for key in keys]
+    near = {bisect_left(ratios, min(best[2].ratio, hi))}
+    for b in best:
+        first, last = (bisect_left(ratios, b.rho + d * step) for d in (-2, 2))
+        near.update(range(first, last + 1))
+    near -= {bisect_left(ratios, g) for g in grid}  # only a plateau off the grid can beat it
+    # each solved at its top, to 12 digits: a plateau narrower than that is passed over
+    labels = [x for i in sorted(near) if (x := _label(min(ratios[i], hi))) > ratios[i - 1]]
+    usable += [r for r in rows(labels) if r.converges and r.a_limit > 0]
+    best_a, best_b, best_ratio = (min(usable, key=key) for key in keys)
+    best_ratio = _self_consistent(best_ratio, ratios, rho_min, hi)
+    residual = abs(best_ratio.rho - best_ratio.ratio)
+    return grid_rows, OptimizeResult(best_a, best_b, best_ratio, residual)
 
 
 def sweep_rho(
@@ -134,14 +163,6 @@ def sweep_rho(
     return _sweep(s, rho_min, rho_max, step, exclude)[0]
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
-    best_a: SweepRow
-    best_b: SweepRow
-    best_ratio: SweepRow
-    residual: float  # |rho_opt - b/a| at the ratio optimum
-
-
 def optimize_rho(
     s: Scheme,
     rho_min: float = 1.02,
@@ -150,49 +171,4 @@ def optimize_rho(
     exclude: tuple[tuple[int, int], ...] = (),
 ) -> OptimizeResult:
     """Locate near-optimal rho for argmax a, argmin b, and argmin b/a."""
-    rows, make_row = _sweep(s, rho_min, rho_max, coarse_step, exclude)
-    return _optimize(rows, make_row, rho_min, rho_max, coarse_step)
-
-
-def _optimize(
-    rows: list[SweepRow],
-    make_row: Callable[[float], SweepRow],
-    rho_min: float,
-    rho_max: float,
-    coarse_step: float,
-) -> OptimizeResult:
-    """optimize_rho from the coarse grid's rows and the factory that made them."""
-    usable = [r for r in rows if r.converges and r.a_limit > 0]
-    if not usable:
-        raise IterationError("no converging grid point in the sweep range")
-
-    def refine(best: SweepRow, key) -> SweepRow:
-        step = coarse_step
-        for _ in range(3):  # halve the grid step three times
-            step /= 2
-            lo = max(rho_min, best.rho - 2 * step)
-            cands = (make_row(r) for r in (lo + i * step for i in range(5)) if r <= rho_max)
-            best = min([c for c in cands if c.converges and c.a_limit > 0] + [best], key=key)
-        return best
-
-    best_a = refine(min(usable, key=lambda r: -r.a_limit), lambda r: -r.a_limit)
-    best_b = refine(min(usable, key=lambda r: r.b_limit), lambda r: r.b_limit)
-    best_ratio = refine(min(usable, key=lambda r: r.ratio), lambda r: r.ratio)
-
-    # the ratio objective is piecewise constant in rho; within the optimal
-    # plateau, move rho to the self-consistent point rho = b/a
-    for _ in range(8):
-        target = min(max(best_ratio.ratio, rho_min), rho_max)
-        if abs(target - best_ratio.rho) < 1e-12:
-            break
-        cand = make_row(target)
-        if cand.converges and cand.ratio <= best_ratio.ratio + 1e-12:
-            best_ratio = cand
-        else:
-            break
-    return OptimizeResult(
-        best_a=best_a,
-        best_b=best_b,
-        best_ratio=best_ratio,
-        residual=abs(best_ratio.rho - best_ratio.ratio),
-    )
+    return _sweep(s, rho_min, rho_max, coarse_step, exclude, optimize=True)[1]

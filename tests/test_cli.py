@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from chebsylv import BUILTINS, build_recurrence, constant_A, e_profile, fixed_point, select_terms
 from chebsylv.cli import build_parser, main
+from chebsylv.iteration import MAX_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -157,17 +159,28 @@ def test_sweep_csv_and_refine(capsys, tmp_path):
     ]
 
 
-def test_sweep_with_exclude_and_refine(capsys):
-    exclude = ((281, 310), (440, 493))
-    argv = "sweep nu6 --rho-min 1.05 --rho-max 1.3 --step 0.05 --refine"
+def _assert_printed_rhos_keep_their_terms(capsys, argv, exclude=()):
+    """Every row and optimum row, re-selected at its printed rho, keeps the terms it prints."""
     code, out, _ = run_cli(capsys, *argv.split(), *(f"--exclude={m},{n}" for m, n in exclude))
     assert code == 0
     data = json.loads(out)
-    p = e_profile(BUILTINS["nu6"])
-    for row in data["rows"] + [data["optimum"]["best_ratio"]]:
+    p = e_profile(BUILTINS[argv.split()[1]])
+    for row in data["rows"] + [data["optimum"][k] for k in ("best_a", "best_b", "best_ratio")]:
         lower = select_terms(p, "lower", row["rho"], exclude=exclude)
         upper = select_terms(p, "upper", row["rho"], exclude=exclude)
         assert (row["n_lower"], row["n_upper"]) == (lower.n_terms, upper.n_terms)
+
+
+def test_sweep_with_exclude_and_refine(capsys):
+    argv = "sweep nu6 --rho-min 1.05 --rho-max 1.3 --step 0.05 --refine"
+    _assert_printed_rhos_keep_their_terms(capsys, argv, ((281, 310), (440, 493)))
+
+
+def test_sweep_refine_optimum_printed_on_its_plateau(capsys):
+    # the optimum plateau ends at 1144/1049 = 1.0905624404194..., which
+    # prints to 12 digits as 1.09056244042, on the plateau above
+    argv = "sweep nu8 --rho-min 1.06 --rho-max 1.26 --step 0.01 --refine"
+    _assert_printed_rhos_keep_their_terms(capsys, argv)
 
 
 def test_verify_convolution(capsys):
@@ -336,6 +349,16 @@ def test_bad_user_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("chebsylv: error")
+
+
+def test_iterate_steps_over_the_cap_exit_2_at_once(capsys):
+    # one step over first: without the cap, 10^8 steps would need about 130 GB
+    for steps in (MAX_STEPS + 1, 10**8):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *f"iterate nu4 --rho 1.5 --steps {steps}".split())
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "over the cap" in err
 
 
 def test_bare_value_error_propagates(capsys, monkeypatch):

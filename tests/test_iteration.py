@@ -4,6 +4,7 @@ import pytest
 
 from chebsylv import (
     BUILTINS,
+    CapacityError,
     IterationError,
     build_recurrence,
     constant_A,
@@ -11,6 +12,7 @@ from chebsylv import (
     iterate,
     select_terms,
 )
+from chebsylv.iteration import MAX_STEPS
 
 
 def _recurrence(profiles, name, rho, exclude=()):
@@ -119,3 +121,11 @@ def test_iterate_rejects_negative_steps(profiles):
     rec = _recurrence(profiles, "nu4", 1.5)
     with pytest.raises(ValueError):
         iterate(rec, 1.0, 1.2, -1)
+
+
+def test_iterate_step_cap(profiles):
+    rec = _recurrence(profiles, "nu4", 1.5)
+    assert len(iterate(rec, 1.0, 1.2, MAX_STEPS)) == MAX_STEPS + 1
+    for steps in (MAX_STEPS + 1, 10**8):  # refused before any step is taken
+        with pytest.raises(CapacityError, match="steps"):
+            iterate(rec, 1.0, 1.2, steps)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,8 @@ from chebsylv import (
     select_terms,
     sweep_rho,
 )
-from chebsylv.sweep import MAX_GRID_POINTS, _row_maker
+from chebsylv.selection import _simplest_fraction
+from chebsylv.sweep import MAX_GRID_POINTS, SweepRow, _label, _self_consistent, _table
 
 
 def test_sweep_grid_size_and_order():
@@ -51,12 +54,11 @@ def test_sweep_rows_match_exact_iteration(profiles):
     windows = {"nu4": (1.2, 1.6, 0.1), "cheb": (1.05, 2.0, 0.05), "nu6": (1.05, 1.6, 0.05)}
     rows = {name: sweep_rho(BUILTINS[name], *window) for name, window in windows.items()}
     for name, rho_min in (("nu7", 1.06), ("nu8", 1.04)):
-        # rows asked for out of order, so that a new count's exact sums are
-        # cut back from a larger count summed before, not only the full one
+        # one rising pass over both sides of four kept ratios: each row one
+        # float above a ratio takes that ratio's pairs off the sums
         rhos = _breakpoint_rhos(profiles[name], rho_min, 4)
-        make_row = _row_maker(BUILTINS[name], rho_min, ())
-        rows[name] = [make_row(rho) for rho in rhos[::2] + rhos[1::2]]
-        kept, dropped = rows[name][: len(rhos) // 2], rows[name][len(rhos) // 2 :]
+        rows[name] = list(_table(BUILTINS[name], rho_min, ())[1](rhos))
+        kept, dropped = rows[name][::2], rows[name][1::2]
         assert all(
             a.n_lower_terms + a.n_upper_terms > b.n_lower_terms + b.n_upper_terms
             for a, b in zip(kept, dropped)
@@ -91,13 +93,73 @@ def test_sweep_and_optimum_with_exclusions_match_exact_iteration(profiles):
         ("nu6", 1.05, 1.25, 0.02),
         ("nu7", 1.08, 1.13, 0.005),
         ("nu8", 1.02, 1.12, 0.02),
+        # the best grid plateau runs from 1.3377 to 1.5, and the better one
+        # from 1.5 lies past the last grid point, 1.4877
+        ("nu1", 1.3377, 1.5284, 0.05),
     ],
 )
-def test_optimum_stays_in_the_window(name, rho_min, rho_max, step):
-    result = optimize_rho(BUILTINS[name], rho_min, rho_max, step)
-    for row in (result.best_a, result.best_b, result.best_ratio):
+def test_optimum_stays_in_the_window(profiles, name, rho_min, rho_max, step):
+    s, p = BUILTINS[name], profiles[name]
+    result = optimize_rho(s, rho_min, rho_max, step)
+    best = (result.best_a, result.best_b, result.best_ratio)
+    for row in best:
         # grid points may pass rho_max by float rounding (rho_min + i * step)
         assert rho_min <= row.rho <= rho_max + 1e-9
+    _assert_rows_exact(s, p, best)
+    # no better row on a grid eight times finer
+    fine = [r for r in sweep_rho(s, rho_min, rho_max, step / 8) if r.converges and r.a_limit > 0]
+    assert result.best_a.a_limit >= max(r.a_limit for r in fine)
+    assert result.best_b.b_limit <= min(r.b_limit for r in fine)
+    assert result.best_ratio.ratio <= min(r.ratio for r in fine)
+    # the ratio optimum sits at b/a when b/a lies on its plateau, at the plateau's
+    # top when b/a lies above it (the least kept ratio, or the window's end), and
+    # where it was found when b/a lies below it, on a plateau of more terms
+    ratio = result.best_ratio
+    kept = (select_terms(p, side, ratio.rho).kept_pairs for side in ("lower", "upper"))
+    top = min((n / m for pairs in kept for m, n in pairs), default=math.inf)
+    top = min(top, max(rho_max, sweep_rho(s, rho_min, rho_max, step)[-1].rho))
+    if ratio.ratio > top:
+        assert ratio.rho in (top, _label(top))
+    elif ratio.rho != ratio.ratio:
+        terms = sum(select_terms(p, side, ratio.ratio).n_terms for side in ("lower", "upper"))
+        assert ratio.ratio < rho_min or terms > ratio.n_lower_terms + ratio.n_upper_terms
+    # each optimum's rho printed to 12 digits keeps the terms the row reports
+    _assert_rows_exact(s, p, [replace(row, rho=float(f"{row.rho:.12g}")) for row in best])
+
+
+def test_label_prints_as_itself_at_or_below():
+    # 1144/1049 = 1.0905624404194...: the nearest 12-digit decimal, 1.09056244042, lies above
+    for rho, label in ((1144 / 1049, 1.09056244041), (1.3, 1.3), (1.2000000000000002, 1.2)):
+        assert _label(rho) == label <= rho
+        assert float(f"{label:.12g}") == label
+
+
+def test_self_consistent_rho_stays_on_its_plateau():
+    # the window [1.05, 1.5] and the plateaus [1.05, 1.1], (1.1, top] and (top, inf)
+    row = SweepRow(1.2, 0.9, 1.0, 1.0, 0.1, 0.2, 10, 10, True)
+    for top, b_over_a, rho in [
+        (1.3, 1.25, 1.25),  # b/a on the plateau
+        (1.3, 1.3, 1.3),
+        (1.3, 1.4, 1.3),  # b/a above it: the plateau's top
+        (1.3, 1.6, 1.3),  # b/a past the window
+        (1.3, 1.05, 1.2),  # b/a on a lower plateau: the row stays
+        (1.3, 1.0, 1.2),  # b/a below the window
+        # the top and a b/a just under it print as 1.3, on the plateau above
+        (1.29999999999995, 1.4, 1.29999999999),
+        (1.29999999999995, 1.29999999999994, 1.29999999999),
+    ]:
+        moved = _self_consistent(replace(row, ratio=b_over_a), [1.1, top, math.inf], 1.05, 1.5)
+        assert moved.rho == rho
+
+
+def test_float_ratios_order_as_exact_fractions(profiles):
+    # the sweep orders kept pairs by the float n / m: exact when n / m is the
+    # simplest fraction that rounds to it, the rho _select reads from that float
+    cases = [(name, 1.02) for name in BUILTINS] + [("nu8", 1.0003)]
+    for name, rho in cases:
+        for side in ("lower", "upper"):
+            for m, n in select_terms(profiles[name], side, rho).kept_pairs:
+                assert _simplest_fraction(n / m) == Fraction(n, m)
 
 
 def test_term_counts_nonincreasing_in_rho():
