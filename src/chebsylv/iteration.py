@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import CapacityError
+from .kernel import CapacityError, OutOfRangeError
 from .selection import TermSelection, selection_coefficients
 
 # Trace steps per iterate call. The trace is kept whole: a cold `iterate --steps` CLI run took
@@ -73,24 +73,8 @@ def build_recurrence(
         raise IterationError("selection sides do not match their roles")
     if N < 2:
         raise IterationError("N must be >= 2")
-    return _recurrence(
-        selection_coefficients(lower),
-        selection_coefficients(upper),
-        A,
-        N,
-        A if upper_A is None else upper_A,
-    )
-
-
-def _recurrence(
-    lower: tuple[Fraction, Fraction],
-    upper: tuple[Fraction, Fraction],
-    A: float,
-    N: int,
-    upper_A: float,
-) -> AffineRecurrence:
-    """Recurrence from each side's (coef_a, coef_b)."""
-    (lo_a, lo_b), (up_a, up_b) = lower, upper
+    lo_a, lo_b = selection_coefficients(lower)
+    up_a, up_b = selection_coefficients(upper)
     k = Fraction(N, N - 1)
     return AffineRecurrence(
         m11=up_a,
@@ -98,18 +82,50 @@ def _recurrence(
         m21=-k * lo_a,
         m22=k * lo_b,
         k=k,
-        upper_A=upper_A,
+        upper_A=A if upper_A is None else upper_A,
         lower_A=A,
     )
 
 
-def _spectrum(tr: Fraction, det: Fraction) -> tuple[tuple[complex, complex], bool]:
-    """Floating eigenvalues of M from its exact trace and determinant, plus
-    the exact real 2x2 stability verdict |det M| < 1 and |tr M| < 1 + det M."""
-    t, d = float(tr), float(det)
+def _solve(m11, m12, m21, m22, k, upper_A: float, lower_A: float):
+    """The fixed point of M = [[m11, m12], [m21, m22]] and k, each given as a
+    (numerator, denominator) pair, in integers: each row of M over the lcm of its
+    own denominators, q_up and q_lo, so that q_up q_lo is the denominator of
+    tr M = tr/qq, det M = det_m/qq and det(I - M) = det/qq.
+
+    Returns (x, y, den), with den > 0 and (x/den, y/den) the exact fixed point in units
+    of A when upper_A == lower_A, and the float view: a, b, the eigenvalues of M and the
+    exact real 2x2 stability verdict |det M| < 1 and |tr M| < 1 + det M. Each float
+    is one int / int true division, which CPython rounds correctly, as
+    float(Fraction) does, so that no fraction need be reduced.
+    """
+    (p11, q11), (p12, q12), (p21, q21), (p22, q22), (kn, kd) = m11, m12, m21, m22, k
+    q_up, q_lo = math.lcm(q11, q12), math.lcm(q21, q22)
+    u11, u12 = p11 * (q_up // q11), p12 * (q_up // q12)
+    l21, l22 = p21 * (q_lo // q21), p22 * (q_lo // q22)
+    qq, tr, det_m = q_up * q_lo, u11 * q_lo + l22 * q_up, u11 * l22 - u12 * l21
+    det = qq - tr + det_m
+    if det == 0:
+        raise IterationError("I - M is singular: no fixed point")
+    t, d = tr / qq, det_m / qq
     disc = t * t - 4 * d
     root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
-    return ((t - root) / 2, (t + root) / 2), abs(det) < 1 and abs(tr) < 1 + det
+    stable = abs(det_m) < qq and abs(tr) < qq + det_m
+    if upper_A == lower_A:  # (a, b) = (alpha, beta) A
+        up = lo = w = 1
+        scale = upper_A
+    else:  # upper_A = up / w_up and lower_A = lo / w_lo taken as exact: one rounding, at the end
+        (up, w_up), (lo, w_lo) = upper_A.as_integer_ratio(), lower_A.as_integer_ratio()
+        up, lo, w, scale = up * w_lo, lo * w_up, w_up * w_lo, 1.0
+    # (a, b) = adj(I - M) (upper_A, k lower_A) / det(I - M), adj(I - M) = [[1 - m22, m12],
+    # [m21, 1 - m11]]: x and y are its numerators over kd det, the factors 1/qq cancelling
+    x = (q_lo - l22) * q_up * kd * up + u12 * q_lo * kn * lo
+    y = l21 * q_up * kd * up + (q_up - u11) * q_lo * kn * lo
+    if det < 0:  # a positive denominator, as a Fraction's: x = 0 gives 0.0, not -0.0
+        det, x, y = -det, -x, -y
+    den = kd * det
+    a, b = (z / (den * w) * scale for z in (x, y))
+    return (x, y, den), (a, b, ((t - root) / 2, (t + root) / 2), stable)
 
 
 def fixed_point(rec: AffineRecurrence) -> IterationResult:
@@ -119,27 +135,16 @@ def fixed_point(rec: AffineRecurrence) -> IterationResult:
     When the two are equal, alpha and beta are the exact limits in units of A;
     otherwise they are None and only the float limits are reported.
     """
-    tr, det_m = rec.m11 + rec.m22, rec.m11 * rec.m22 - rec.m12 * rec.m21
-    det = 1 - tr + det_m  # det(I - M)
-    if det == 0:
-        raise IterationError("I - M is singular: no fixed point")
-    eigs, stable = _spectrum(tr, det_m)
-    # det * (a, b) = adj(I - M) (upper_A, k lower_A), coefficient by coefficient
-    a_up, a_lo = 1 - rec.m22, rec.m12 * rec.k
-    b_up, b_lo = rec.m21, (1 - rec.m11) * rec.k
-    if rec.upper_A == rec.lower_A:
-        alpha, beta = (a_up + a_lo) / det, (b_up + b_lo) / det
-        a_limit, b_limit = float(alpha) * rec.upper_A, float(beta) * rec.upper_A
-    else:  # the float constants taken as exact: one rounding, at the end
-        alpha = beta = None
-        up_A, lo_A = Fraction(rec.upper_A), Fraction(rec.lower_A)
-        a_limit = float((a_up * up_A + a_lo * lo_A) / det)
-        b_limit = float((b_up * up_A + b_lo * lo_A) / det)
+    entries = (rec.m11, rec.m12, rec.m21, rec.m22, rec.k)
+    (x, y, den), (a, b, eigs, stable) = _solve(
+        *(e.as_integer_ratio() for e in entries), rec.upper_A, rec.lower_A
+    )
+    exact = rec.upper_A == rec.lower_A
     return IterationResult(
-        alpha=alpha,
-        beta=beta,
-        a_limit=a_limit,
-        b_limit=b_limit,
+        alpha=Fraction(x, den) if exact else None,
+        beta=Fraction(y, den) if exact else None,
+        a_limit=a,
+        b_limit=b,
         eigenvalues=eigs,
         converges=stable,
     )
@@ -148,16 +153,20 @@ def fixed_point(rec: AffineRecurrence) -> IterationResult:
 def iterate(
     rec: AffineRecurrence, a0: float, b0: float, steps: int
 ) -> list[tuple[int, float, float]]:
-    """Explicit trace [(i, a_i, b_i)] for i = 0..steps."""
+    """Explicit trace [(i, a_i, b_i)] for i = 0..steps, every a_i and b_i finite."""
     if steps < 0:
         raise IterationError("steps must be >= 0")
     if steps > MAX_STEPS:
         raise CapacityError(f"{steps} steps, over the cap of {MAX_STEPS}")
+    a, b = float(a0), float(b0)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise OutOfRangeError(f"a0 = {a0} and b0 = {b0} must both be finite")
     m11, m12 = float(rec.m11), float(rec.m12)
     m21, m22 = float(rec.m21), float(rec.m22)
-    a, b = float(a0), float(b0)
     trace = [(0, a, b)]
     for i in range(1, steps + 1):
         a, b = rec.c1 + m11 * a + m12 * b, rec.c2 + m21 * a + m22 * b
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise IterationError(f"the trace leaves the floats at step {i}: a = {a}, b = {b}")
         trace.append((i, a, b))
     return trace

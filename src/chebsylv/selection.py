@@ -30,9 +30,9 @@ BLOCK_PERIOD = 4
 
 # Pairs one side may keep. As rho -> 1 the kept count grows without bound,
 # and the exact fixed point slows faster than linearly in it: selecting both
-# sides, build_recurrence and fixed_point take 0.07 s for nu1 with 8,300 kept
-# pairs per side, 0.22 s for nu8 with 6,200 and 0.33 s with 8,300 (best of 3,
-# 2-vCPU x86-64 VM).
+# sides, build_recurrence and fixed_point take 0.06-0.08 s for nu1 with 8,300
+# kept pairs per side, 0.11-0.18 s for nu8 with 6,200 and 0.18-0.25 s with
+# 8,300 (best of 3 in each of three runs, 2-vCPU x86-64 VM).
 MAX_KEPT_PAIRS = 10_000
 
 # The most dropped pairs list_dropped_pairs lists. A selection only counts

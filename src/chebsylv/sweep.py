@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
-from .iteration import IterationError, _recurrence, fixed_point
+from .iteration import IterationError, _solve
 from .kernel import CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
 from .selection import _reciprocal_sum, _select, pair_pattern
 
-# Grid points per sweep or optimisation; 10^5 rows of nu8 take about 0.8 s.
+# Grid points per sweep or optimisation; 10^5 rows of nu8 from 1.02 to 2.0 take about 0.3 s.
 MAX_GRID_POINTS = 100_000
 
 
@@ -54,6 +54,7 @@ def _table(
     is monotone, and _simplest_fraction(n / m) == Fraction(n, m) for m below about 5 * 10^7.
     """
     profile, A = e_profile(s), constant_A(s)
+    n = profile.n
     sides = []  # kept pairs by rising n/m, their ratios, sum of 1/u over standalones, other terms
     for side in ("lower", "upper"):
         sel = _select(pair_pattern(profile, side), rho_min, exclude=exclude)
@@ -73,13 +74,15 @@ def _table(
                 if i > starts[k]:  # the pairs of ratio below rho drop out
                     sums[k] = [x - d for x, d in zip(sums[k], _sums(pairs[starts[k] : i]))]
                     starts[k], solved = i, None
-            if solved is None:  # a new plateau
-                fp = fixed_point(_recurrence(*sums, A, profile.n, A))
+            if solved is None:  # a new plateau: M = [[up_a, -up_b], [-k lo_a, k lo_b]]
+                (lo_a, lo_b), (up_a, up_b) = ([x.as_integer_ratio() for x in xs] for xs in sums)
+                m12 = -up_b[0], up_b[1]
+                m21, m22 = (-n * lo_a[0], (n - 1) * lo_a[1]), (n * lo_b[0], (n - 1) * lo_b[1])
+                _, (a, b, eigs, converges) = _solve(up_a, m12, m21, m22, (n, n - 1), A, A)
                 # a complex-conjugate pair is reported by its modulus
-                lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in fp.eigenvalues)
+                lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in eigs)
                 counts = (base + 2 * (len(p) - i) for i, (p, _, _, base) in zip(starts, sides))
-                ratio = fp.b_limit / fp.a_limit if fp.a_limit else math.inf
-                solved = (fp.a_limit, fp.b_limit, ratio, lam1, lam2, *counts, fp.converges)
+                solved = (a, b, b / a if a else math.inf, lam1, lam2, *counts, converges)
             yield SweepRow(rho, *solved)
 
     return sorted(r for _, ratios, _, _ in sides for r in ratios) + [math.inf], rows

@@ -1,12 +1,14 @@
 """Reference implementations the tests compare the library against, and
 the random schemes they compare them on."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from chebsylv.iteration import AffineRecurrence, IterationError, IterationResult
 from chebsylv.kernel import CapacityError, ConvolutionReport, _add_multiples
 from chebsylv.scheme import PERIOD_CAP, Scheme, SchemeError, cancellation_check, render_scheme
 from chebsylv.selection import bound_terms
@@ -33,6 +35,37 @@ def chebyshev_T(x: float) -> float:
 def log_prefix(limit: int) -> np.ndarray:
     """Prefix table t[n] = T(n) for n = 0..limit."""
     return np.cumsum(log_table(limit))
+
+
+def fraction_fixed_point(rec: AffineRecurrence) -> IterationResult:
+    """fixed_point in Fraction arithmetic: trace, determinants, adjugate and
+    limits each an exact reduced rational, every float rounded from one."""
+    tr, det_m = rec.m11 + rec.m22, rec.m11 * rec.m22 - rec.m12 * rec.m21
+    det = 1 - tr + det_m  # det(I - M)
+    if det == 0:
+        raise IterationError("I - M is singular: no fixed point")
+    t, d = float(tr), float(det_m)
+    disc = t * t - 4 * d
+    root = math.sqrt(disc) if disc >= 0 else cmath.sqrt(disc)
+    # det * (a, b) = adj(I - M) (upper_A, k lower_A), coefficient by coefficient
+    a_up, a_lo = 1 - rec.m22, rec.m12 * rec.k
+    b_up, b_lo = rec.m21, (1 - rec.m11) * rec.k
+    if rec.upper_A == rec.lower_A:
+        alpha, beta = (a_up + a_lo) / det, (b_up + b_lo) / det
+        a_limit, b_limit = float(alpha) * rec.upper_A, float(beta) * rec.upper_A
+    else:
+        alpha = beta = None
+        up_A, lo_A = Fraction(rec.upper_A), Fraction(rec.lower_A)
+        a_limit = float((a_up * up_A + a_lo * lo_A) / det)
+        b_limit = float((b_up * up_A + b_lo * lo_A) / det)
+    return IterationResult(
+        alpha=alpha,
+        beta=beta,
+        a_limit=a_limit,
+        b_limit=b_limit,
+        eigenvalues=((t - root) / 2, (t + root) / 2),
+        converges=abs(det_m) < 1 and abs(tr) < 1 + det_m,
+    )
 
 
 def value_at(profile, x: int) -> int:

@@ -342,6 +342,10 @@ def test_floats_have_12_significant_digits(capsys):
         "verify lcm --limit 0",
         "verify lcm --limit -3",
         "verify lcm --limit 10001",
+        "iterate nu4 --rho 1.3 --steps 3 --a0 nan",
+        "iterate nu4 --rho 1.3 --steps 3 --b0 inf",
+        "iterate nu4 --rho 1.3 --steps 3 --a0=-inf",
+        "iterate nu4 --rho 1.05 --steps 10000",  # diverging: larger eigenvalue 1.83
     ],
 )
 def test_bad_user_input_exits_2(capsys, argv):
@@ -359,6 +363,53 @@ def test_iterate_steps_over_the_cap_exit_2_at_once(capsys):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert "over the cap" in err
+
+
+# A small command line per subcommand, and the numeric options it reads.
+EDGE_COMMANDS = [
+    ("analyze nu4", ()),
+    ("eprofile nu4", ()),
+    ("base-bounds nu4", ()),
+    ("list-schemes", ()),
+    ("select nu4 --rho 1.3 --side lower", ("--rho", "--max-index")),
+    ("iterate nu4 --rho 1.3 --steps 3", ("--rho", "--a0", "--b0", "--steps")),
+    ("iterate nu4 --rho 1.3 --hybrid-lower nu4", ("--hybrid-max-index",)),
+    ("sweep nu4 --rho-min 1.1 --rho-max 1.5 --step 0.1 --refine",
+     ("--rho-min", "--rho-max", "--step")),
+    *((f"verify {check}", ("--limit",)) for check in
+      ("convolution", "lcm", "v-identity", "selection", "asymptotic", "final-bounds", "psi-pi")),
+    ("verify selection --scheme nu4 --limit 1000", ("--rho",)),
+    ("verify final-bounds --limit 10000", ("--a", "--b")),
+    ("verify psi-pi --limit 1000", ("--alpha",)),
+]
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [base for base, options in EDGE_COMMANDS if not options]
+    + [f"{base} {opt}={v}" for base, options in EDGE_COMMANDS for opt in options
+       for v in EDGE_VALUES],
+)
+def test_edge_values_give_strict_json_or_exit_2(capsys, argv):
+    # --opt=value, so that the parser takes -inf and -1 as values
+    start = time.perf_counter()
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # the parser refuses a value that is not an int
+        assert exc.code == 2 and "error: argument" in capsys.readouterr().err
+    else:
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert (out, err.startswith("chebsylv: error:")) == ("", True)
+        else:
+            assert code in (0, 1)
+            json.loads(out, parse_constant=_reject_constant)
+    assert time.perf_counter() - start < 2
 
 
 def test_bare_value_error_propagates(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,15 @@ from chebsylv import (
     BUILTINS,
     CapacityError,
     IterationError,
+    OutOfRangeError,
     build_recurrence,
     constant_A,
     fixed_point,
     iterate,
     select_terms,
 )
-from chebsylv.iteration import MAX_STEPS
+from chebsylv.iteration import MAX_STEPS, AffineRecurrence
+from oracles import fraction_fixed_point
 
 
 def _recurrence(profiles, name, rho, exclude=()):
@@ -129,3 +133,67 @@ def test_iterate_step_cap(profiles):
     for steps in (MAX_STEPS + 1, 10**8):  # refused before any step is taken
         with pytest.raises(CapacityError, match="steps"):
             iterate(rec, 1.0, 1.2, steps)
+
+
+def _assert_as_oracle(rec):
+    """fixed_point equals the Fraction-arithmetic solve, every float to the sign of zero."""
+    result, oracle = fixed_point(rec), fraction_fixed_point(rec)
+    assert result == oracle
+    floats = [(r.a_limit, r.b_limit, *r.eigenvalues) for r in (result, oracle)]
+    assert [repr(v) for v in floats[0]] == [repr(v) for v in floats[1]]
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_fixed_point_equals_fraction_solve(profiles, name):
+    results = [_assert_as_oracle(_recurrence(profiles, name, rho))
+               for rho in (1.05, 1.1, 1.2, 1.3, 1.5, 2.0)]
+    # diverging cases included: every built-in but nu6, nu7 and nu8 diverges at 1.05
+    assert results[0].converges == (name in ("nu6", "nu7", "nu8"))
+
+
+def test_fixed_point_equals_fraction_solve_off_the_builtin_path(profiles):
+    _assert_as_oracle(_recurrence(profiles, "nu6", 1.05, exclude=((281, 310), (440, 493))))
+    # criterion 5's hybrid (two growth constants) and truncated recurrences
+    up7 = select_terms(profiles["nu7"], "upper", 1.1)
+    lo6 = select_terms(profiles["nu6"], "lower", 1.1)
+    a6, a7 = constant_A(BUILTINS["nu6"]), constant_A(BUILTINS["nu7"])
+    hybrid = _assert_as_oracle(build_recurrence(lo6, up7, a6, profiles["nu6"].n, upper_A=a7))
+    assert hybrid.alpha is None
+    lo7t = select_terms(profiles["nu7"], "lower", 1.1, max_index=616)
+    _assert_as_oracle(build_recurrence(lo7t, up7, a7, profiles["nu7"].n, upper_A=a7))
+    # near the pair cap: 8,340 kept pairs a side, denominators of about 10^5 bits
+    _assert_as_oracle(_recurrence(profiles, "nu8", 1.0003))
+
+
+def test_fixed_point_hand_built_edges():
+    f = Fraction
+    # det(I - M) = -2 < 0 and alpha = 0: a_limit is 0.0, not -0.0
+    rec = AffineRecurrence(f(3), f(-1, 2), f(0), f(0), f(2), 1.0, 1.0)
+    result = _assert_as_oracle(rec)
+    assert result.alpha == 0 and math.copysign(1, result.a_limit) == 1
+    # the hybrid form of the same, with the float constants taken as exact
+    _assert_as_oracle(AffineRecurrence(f(3), f(-1, 2), f(0), f(0), f(2), 0.1, 0.3))
+    # I - M singular: both solves refuse it
+    singular = AffineRecurrence(f(1, 2), f(-1, 3), f(-3, 4), f(1, 2), f(3, 2), 1.0, 1.0)
+    for solve in (fixed_point, fraction_fixed_point):
+        with pytest.raises(IterationError, match="singular"):
+            solve(singular)
+
+
+def test_iterate_refuses_non_finite_start(profiles):
+    rec = _recurrence(profiles, "nu4", 1.3)
+    for a0, b0 in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(OutOfRangeError, match="finite"):
+            iterate(rec, a0, b0, 3)
+
+
+def test_iterate_names_the_step_that_leaves_the_floats(profiles):
+    rec = _recurrence(profiles, "nu4", 1.05)
+    assert max(abs(z) for z in fixed_point(rec).eigenvalues) > 1.8  # diverging
+    with pytest.raises(IterationError, match="at step") as info:
+        iterate(rec, 1.0, 1.2, MAX_STEPS)
+    step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+    assert all(math.isfinite(v) for v in iterate(rec, 1.0, 1.2, step - 1)[-1][1:])
+    with pytest.raises(IterationError, match=f"at step {step}:"):
+        iterate(rec, 1.0, 1.2, step)

@@ -11,13 +11,13 @@ from chebsylv import (
     build_recurrence,
     constant_A,
     e_profile,
-    fixed_point,
     optimize_rho,
     select_terms,
     sweep_rho,
 )
 from chebsylv.selection import _simplest_fraction
 from chebsylv.sweep import MAX_GRID_POINTS, SweepRow, _label, _self_consistent, _table
+from oracles import fraction_fixed_point
 
 
 def test_sweep_grid_size_and_order():
@@ -38,14 +38,17 @@ def _breakpoint_rhos(p, rho_min, count):
 
 
 def _assert_rows_exact(s, p, rows, exclude=()):
-    """Each row equals the exact fixed point of its rho's own selections."""
+    """Each row equals, float for float, the Fraction-arithmetic fixed point of
+    its rho's own selections."""
     a_const = constant_A(s)
     for row in rows:
         lower = select_terms(p, "lower", row.rho, exclude=exclude)
         upper = select_terms(p, "upper", row.rho, exclude=exclude)
-        exact = fixed_point(build_recurrence(lower, upper, a_const, p.n))
-        assert row.a_limit == exact.a_limit
-        assert row.b_limit == exact.b_limit
+        exact = fraction_fixed_point(build_recurrence(lower, upper, a_const, p.n))
+        lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in exact.eigenvalues)
+        ratio = exact.b_limit / exact.a_limit if exact.a_limit else math.inf
+        floats = (exact.a_limit, exact.b_limit, ratio, lam1, lam2)
+        assert (row.a_limit, row.b_limit, row.ratio, row.lambda1, row.lambda2) == floats
         assert row.converges == exact.converges
         assert (row.n_lower_terms, row.n_upper_terms) == (lower.n_terms, upper.n_terms)
 
@@ -106,8 +109,10 @@ def test_optimum_stays_in_the_window(profiles, name, rho_min, rho_max, step):
         # grid points may pass rho_max by float rounding (rho_min + i * step)
         assert rho_min <= row.rho <= rho_max + 1e-9
     _assert_rows_exact(s, p, best)
-    # no better row on a grid eight times finer
-    fine = [r for r in sweep_rho(s, rho_min, rho_max, step / 8) if r.converges and r.a_limit > 0]
+    # no better row on a grid eight times finer, each of whose rows is exact
+    fine = sweep_rho(s, rho_min, rho_max, step / 8)
+    _assert_rows_exact(s, p, fine)
+    fine = [r for r in fine if r.converges and r.a_limit > 0]
     assert result.best_a.a_limit >= max(r.a_limit for r in fine)
     assert result.best_b.b_limit <= min(r.b_limit for r in fine)
     assert result.best_ratio.ratio <= min(r.ratio for r in fine)
