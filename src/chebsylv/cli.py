@@ -13,8 +13,6 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .kernel import (
     CapacityError,
     OutOfRangeError,
@@ -73,21 +71,15 @@ def _jsonable(value):
         return value
     if isinstance(value, Fraction):
         return _fraction_text(value)
-    if isinstance(value, np.generic):
-        return _jsonable(value.item())
     if is_dataclass(value):
         return _jsonable(_fields(value))
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, complex):
-        if value.imag == 0:
-            return float(f"{value.real:.12g}")
+    if isinstance(value, complex):  # an eigenvalue off the real line
         return {"re": float(f"{value.real:.12g}"), "im": float(f"{value.imag:.12g}")}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    return [_jsonable(v) for v in value]  # a list or tuple
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -101,10 +93,6 @@ def _fraction_text(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -266,11 +254,7 @@ def _cmd_verify(args) -> dict:
         )
     elif args.check == "asymptotic":
         s = resolve_scheme(args.scheme or "cheb")
-        ladder = []
-        x = 100
-        while x <= limit:
-            ladder.append(x)
-            x *= 2
+        ladder = [100 * 2**i for i in range(max(limit // 100, 0).bit_length())]  # 100 2^i <= limit
         rep = verify_asymptotic_A(s, ladder)
     elif args.check == "final-bounds":
         rep = verify_final_bounds(args.a, args.b, limit)
@@ -368,13 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KNOWN_ERRORS = (
-    SchemeError,
-    DominationError,
-    IterationError,
-    CapacityError,
-    OutOfRangeError,
-)
+_KNOWN_ERRORS = (SchemeError, DominationError, IterationError, CapacityError, OutOfRangeError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -384,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except _KNOWN_ERRORS as exc:
         print(f"chebsylv: error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload)
+    sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
     return 0 if payload.get("passed", True) else 1
 
 

@@ -358,14 +358,11 @@ def lcm_identity_failures(x_max: int) -> list[int]:
     if x_max > LCM_CAP:
         raise CapacityError(f"lcm check limit {x_max} exceeds cap {LCM_CAP}")
     base = [1] * (x_max + 1)  # base[p^m] = p, 1 elsewhere
-    composite = bytearray(x_max + 1)
-    for p in range(2, x_max + 1):
-        if not composite[p]:
-            composite[p::p] = b"\1" * (x_max // p)
-            pk = p
-            while pk <= x_max:
-                base[pk] = p
-                pk *= p
+    for p in build_sieve(x_max).primes.tolist():  # LCM_CAP <= SIEVE_CAP
+        pk = p
+        while pk <= x_max:
+            base[pk] = p
+            pk *= p
     prod = lcm = 1
     failures = []
     for x in range(1, x_max + 1):

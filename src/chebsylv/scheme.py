@@ -46,11 +46,6 @@ class Scheme:
         return tuple(k for k, _ in self.terms)
 
 
-def _from_weights(weights: dict[int, int], name: str | None = None) -> Scheme:
-    terms = tuple(sorted((k, w) for k, w in weights.items() if w != 0))
-    return Scheme(terms=terms, name=name)
-
-
 def parse_scheme(text: str, name: str | None = None) -> Scheme:
     """Parse bracket form "[1,30;2,3,5]" or explicit form "1:1,2:-1,...".
 
@@ -77,7 +72,7 @@ def parse_scheme(text: str, name: str | None = None) -> Scheme:
         raise SchemeError(f"malformed scheme text {text!r}") from exc
     if not weights:
         raise SchemeError(f"empty scheme text {text!r}")
-    return _from_weights(weights, name=name)
+    return Scheme(terms=tuple(sorted((k, w) for k, w in weights.items() if w != 0)), name=name)
 
 
 def render_scheme(s: Scheme) -> str:

@@ -337,11 +337,15 @@ def _reciprocal_sum(ks) -> Fraction:
     return Fraction(*terms[0])
 
 
+def _pair_sums(pairs, standalones=()) -> tuple[Fraction, Fraction]:
+    """Exact (sum 1/m, sum 1/n + sum 1/u) over the pairs (m, n) and the standalones u."""
+    ns = [n for _, n in pairs] + list(standalones)
+    return _reciprocal_sum(m for m, _ in pairs), _reciprocal_sum(ns)
+
+
 def selection_coefficients(sel: TermSelection) -> tuple[Fraction, Fraction]:
     """Exact rational sums (coef_a, coef_b) feeding the affine recurrence."""
-    coef_a = _reciprocal_sum(m for m, _ in sel.kept_pairs)
-    coef_b = _reciprocal_sum([n for _, n in sel.kept_pairs] + list(sel.standalones))
-    return coef_a, coef_b
+    return _pair_sums(sel.kept_pairs, sel.standalones)
 
 
 def selection_rows(

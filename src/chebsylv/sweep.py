@@ -15,12 +15,11 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from decimal import ROUND_FLOOR, Decimal
-from fractions import Fraction
 
 from .iteration import IterationError, _solve
 from .kernel import CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
-from .selection import _reciprocal_sum, _select, pair_pattern
+from .selection import _pair_sums, select_terms
 
 # Grid points per sweep or optimisation; 10^5 rows of nu8 from 1.02 to 2.0 take about 0.3 s.
 MAX_GRID_POINTS = 100_000
@@ -39,11 +38,6 @@ class SweepRow:
     converges: bool
 
 
-def _sums(pairs: list[tuple[int, int]], extra_b: Fraction = Fraction(0)) -> list[Fraction]:
-    """[sum 1/m, sum 1/n + extra_b] over the pairs (m, n), exactly."""
-    return [_reciprocal_sum(m for m, _ in pairs), _reciprocal_sum(n for _, n in pairs) + extra_b]
-
-
 def _table(
     s: Scheme, rho_min: float, exclude: tuple[tuple[int, int], ...]
 ) -> tuple[list[float], Callable[[list[float]], Iterator[SweepRow]]]:
@@ -55,24 +49,25 @@ def _table(
     """
     profile, A = e_profile(s), constant_A(s)
     n = profile.n
-    sides = []  # kept pairs by rising n/m, their ratios, sum of 1/u over standalones, other terms
+    sides = []  # kept pairs by rising n/m, their ratios, the standalones, other terms
     for side in ("lower", "upper"):
-        sel = _select(pair_pattern(profile, side), rho_min, exclude=exclude)
+        sel = select_terms(profile, side, rho_min, exclude=exclude)
         pairs = sorted(sel.kept_pairs, key=lambda p: p[1] / p[0])
-        extra = _reciprocal_sum(sel.standalones), sel.n_terms - 2 * len(pairs)
-        sides.append((pairs, [n / m for m, n in pairs], *extra))
+        base = sel.n_terms - 2 * len(pairs)
+        sides.append((pairs, [n / m for m, n in pairs], sel.standalones, base))
 
     def rows(rhos: list[float]) -> Iterator[SweepRow]:
         if not rhos:
             return
+        # the sums over the pairs kept at rhos[0] only: from a low rho_min, most lie below it
         starts = [bisect_left(ratios, rhos[0]) for _, ratios, _, _ in sides]
-        sums = [_sums(pairs[i:], extra) for i, (pairs, _, extra, _) in zip(starts, sides)]
+        sums = [list(_pair_sums(pairs[i:], us)) for i, (pairs, _, us, _) in zip(starts, sides)]
         solved = None
         for rho in rhos:
             for k, (pairs, ratios, _, _) in enumerate(sides):
                 i = bisect_left(ratios, rho, starts[k])
                 if i > starts[k]:  # the pairs of ratio below rho drop out
-                    sums[k] = [x - d for x, d in zip(sums[k], _sums(pairs[starts[k] : i]))]
+                    sums[k] = [x - d for x, d in zip(sums[k], _pair_sums(pairs[starts[k] : i]))]
                     starts[k], solved = i, None
             if solved is None:  # a new plateau: M = [[up_a, -up_b], [-k lo_a, k lo_b]]
                 (lo_a, lo_b), (up_a, up_b) = ([x.as_integer_ratio() for x in xs] for xs in sums)

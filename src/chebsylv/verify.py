@@ -10,6 +10,8 @@ import numpy as np
 from .kernel import (
     _LOGS,
     _SEGMENT,
+    SIEVE_CAP,
+    CapacityError,
     OutOfRangeError,
     SieveTables,
     _add_multiples,
@@ -32,6 +34,10 @@ TOL = 1e-6
 _BLOCK = 1 << 16
 # Pieces of psi per chunk of the final-bound check: 256 KB per float64 array.
 _PIECES = 1 << 15
+# Largest ladder point of the asymptotic check. An ulp off in each lgamma moves a ratio by up to
+# sum |nu(k)| ulp(lgamma(x/k + 1)) / ln x: over the nine built-ins 0.029-0.040 at 10^14, 0.23-0.37
+# at 10^15 and 3.3-4.1 at 10^16, against pass thresholds 2 ratio(100) of 0.70-1.97.
+ASYMPTOTIC_CAP = 10**14
 
 
 @dataclass(frozen=True)
@@ -131,9 +137,13 @@ def verify_selection_bounds(
 
 def verify_asymptotic_A(s: Scheme, xs: list[int]) -> VerificationReport:
     """Check |V(x) - A x| / ln x stays bounded along a geometric ladder."""
+    if not all(-math.inf < x < math.inf for x in xs):  # NaN fails every comparison
+        raise OutOfRangeError("ladder points must be finite")
     xs = sorted(x for x in xs if x >= 2)
     if len(xs) < 2:
         raise OutOfRangeError("need at least two ladder points >= 2")
+    if xs[-1] > ASYMPTOTIC_CAP:
+        raise CapacityError(f"ladder point {xs[-1]} exceeds cap {ASYMPTOTIC_CAP}")
     # V(x) = sum_k nu(k) ln floor(x/k)! at each ladder point; no table up to xs[-1]
     v = np.array([math.fsum(w * math.lgamma(x // k + 1) for k, w in s.terms) for x in xs])
     arr = np.asarray(xs, dtype=np.int64)
@@ -177,6 +187,8 @@ def verify_final_bounds(
         raise OutOfRangeError("require finite a and b with 0 <= a < b")
     if x_max < 100:
         raise OutOfRangeError("x_max must be >= 100")
+    if x_max > SIEVE_CAP:  # before b * x_max, which cannot convert so large an int
+        raise CapacityError(f"sieve limit {x_max} exceeds cap {SIEVE_CAP}")
     if b * x_max == math.inf:  # and so a x and b x are finite at every x
         raise OutOfRangeError(f"b * x_max overflows for b={b}")
     tables = _sieve_for(x_max, tables)

@@ -338,6 +338,8 @@ def test_floats_have_12_significant_digits(capsys):
         "verify psi-pi --alpha 1.5 --limit 1000",
         "verify psi-pi --limit 1",
         "verify asymptotic --scheme cheb --limit 150",
+        "verify asymptotic --scheme nu4 --limit 100000000000000000",  # lgamma round-off
+        "verify final-bounds --limit 1" + "0" * 400,
         "verify convolution --limit 0",
         "verify lcm --limit 0",
         "verify lcm --limit -3",
@@ -382,7 +384,8 @@ EDGE_COMMANDS = [
     ("verify final-bounds --limit 10000", ("--a", "--b")),
     ("verify psi-pi --limit 1000", ("--alpha",)),
 ]
-EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308")
+# 2^63 and a 401-digit integer: past int64 and past float range
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", str(2**63), "1" + "0" * 400)
 
 
 def _reject_constant(name):

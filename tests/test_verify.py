@@ -8,6 +8,7 @@ import pytest
 
 from chebsylv import (
     BUILTINS,
+    CapacityError,
     OutOfRangeError,
     check_convolution_identities,
     constant_A,
@@ -18,8 +19,8 @@ from chebsylv import (
     verify_psi_pi,
     verify_selection_bounds,
 )
-from chebsylv.kernel import SieveTables
-from chebsylv.verify import _BLOCK, _PIECES
+from chebsylv.kernel import SieveTables, psi_pi_bracket
+from chebsylv.verify import _BLOCK, _PIECES, ASYMPTOTIC_CAP
 from oracles import (
     chebyshev_T,
     dense_final_bounds,
@@ -243,6 +244,30 @@ def test_asymptotic_needs_two_points():
         verify_asymptotic_A(BUILTINS["cheb"], [1000])
 
 
+def _no_lgamma(*args):
+    raise AssertionError("lgamma called before the ladder was checked")
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_asymptotic_refuses_non_finite_points_first(monkeypatch, x):
+    monkeypatch.setattr(math, "lgamma", _no_lgamma)
+    with pytest.raises(OutOfRangeError):
+        verify_asymptotic_A(BUILTINS["nu4"], [100, 200, x])
+
+
+@pytest.mark.parametrize("top", [ASYMPTOTIC_CAP + 1, 10**17, 2 * 10**19, 10**400])
+def test_asymptotic_refuses_points_past_the_cap_first(monkeypatch, top):
+    # past the cap the lgamma round-off alone can swing the verdict
+    monkeypatch.setattr(math, "lgamma", _no_lgamma)
+    with pytest.raises(CapacityError):
+        verify_asymptotic_A(BUILTINS["nu4"], [100, 200, top])
+
+
+def test_asymptotic_at_the_cap():
+    ladder = [100, 10**7, ASYMPTOTIC_CAP]
+    assert verify_asymptotic_A(BUILTINS["nu4"], ladder).x_max == ASYMPTOTIC_CAP
+
+
 def test_final_bounds_good_constants(tables_1m):
     report = verify_final_bounds(0.9226, 1.0765, 10**6, tables_1m)
     assert report.passed
@@ -300,11 +325,36 @@ def test_final_bounds_refuses_non_finite_or_negative_constants_first(a, b):
         verify_final_bounds(a, b, 10**4, _NoTables())
 
 
+@pytest.mark.parametrize("x_max", [10**7 + 1, 2 * 10**19, 10**400])
+def test_final_bounds_refuses_a_limit_past_the_sieve_cap_first(x_max):
+    # 10^400 overflowed converting to float in b * x_max
+    with pytest.raises(CapacityError):
+        verify_final_bounds(0.9226, 1.0765, x_max, _NoTables())
+
+
 def test_psi_pi_ladder(tables_100k):
     report = verify_psi_pi(0.75, [100.0, 1000.0, 10**4, 10**5], tables_100k)
     assert report.passed
     with pytest.raises(OutOfRangeError):  # before any table is read
         verify_psi_pi(0.75, [], None)
+
+
+def test_psi_pi_reports_a_corrupted_psi(tables_100k):
+    # psi doubled past 1000: the brackets at 100 and 1000 still hold, 10^4 and 10^5 fail
+    t = tables_100k
+    doubled = np.where(t.prime_powers > 1000, 2 * t.psi_at_powers, t.psi_at_powers)
+    bad = dataclasses.replace(t, psi_at_powers=doubled)
+    ladder = [100.0, 1000.0, 10**4, 10**5]
+    brackets = [psi_pi_bracket(x, 0.75, bad) for x in ladder]
+    assert [br.holds for br in brackets] == [True, True, False, False]
+    gaps = [max(br.psi_value - br.pi_ln_x, br.pi_ln_x - br.upper) for br in brackets]
+    report = verify_psi_pi(0.75, ladder, bad)
+    assert not report.passed
+    assert report.max_violation == max(gaps) > 0
+    assert report.witness_x == int(ladder[gaps.index(max(gaps))])
+    # the first failing point is the witness when it has the largest gap
+    report = verify_psi_pi(0.75, ladder[:3], bad)
+    assert (report.passed, report.witness_x, report.max_violation) == (False, 10**4, gaps[2])
 
 
 def test_constant_A_values_match_table():
