@@ -37,7 +37,7 @@ from .selection import (
     selection_step_function,
 )
 from .iteration import IterationError, build_recurrence, fixed_point, iterate
-from .sweep import _sweep
+from .sweep import PRINT_DIGITS, _sweep
 from .verify import (
     verify_V_identities,
     verify_asymptotic_A,
@@ -66,7 +66,7 @@ _PLAIN = frozenset((int, str, bool, type(None)))
 
 
 def _jsonable(value):
-    """Floats at 12 significant digits, Fractions as 'p/q', containers recursed."""
+    """Floats at PRINT_DIGITS significant digits, Fractions as 'p/q', containers recursed."""
     if type(value) in _PLAIN:  # most values, e.g. the ints of every listed pair
         return value
     if isinstance(value, Fraction):
@@ -74,9 +74,9 @@ def _jsonable(value):
     if is_dataclass(value):
         return _jsonable(_fields(value))
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(f"{value:.{PRINT_DIGITS}g}")
     if isinstance(value, complex):  # an eigenvalue off the real line
-        return {"re": float(f"{value.real:.12g}"), "im": float(f"{value.imag:.12g}")}
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return [_jsonable(v) for v in value]  # a list or tuple
@@ -170,18 +170,13 @@ def _cmd_iterate(args) -> dict:
     A = constant_A(s)
     exclude = _parse_excludes(args.exclude)
     upper = select_terms(p, "upper", args.rho, exclude=exclude)
+    s2 = resolve_scheme(args.hybrid_lower) if args.hybrid_lower else s
+    p2 = p if s2 is s else e_profile(s2)
+    lower = select_terms(p2, "lower", args.rho, max_index=args.hybrid_max_index, exclude=exclude)
+    rec = build_recurrence(lower, upper, constant_A(s2), p2.n, upper_A=A)
+    provenance = f"rho_lower={lower.rho},rho_upper={upper.rho}"
     if args.hybrid_lower:
-        s2 = resolve_scheme(args.hybrid_lower)
-        p2 = e_profile(s2)
-        lower = select_terms(
-            p2, "lower", args.rho, max_index=args.hybrid_max_index, exclude=exclude
-        )
-        rec = build_recurrence(lower, upper, constant_A(s2), p2.n, upper_A=A)
         provenance = f"hybrid:rho_upper={upper.rho},rho_lower={lower.rho}"
-    else:
-        lower = select_terms(p, "lower", args.rho, exclude=exclude)
-        rec = build_recurrence(lower, upper, A, p.n)
-        provenance = f"rho_lower={lower.rho},rho_upper={upper.rho}"
     result = fixed_point(rec)
     payload = {
         "scheme": render_scheme(s),

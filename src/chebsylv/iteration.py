@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +74,9 @@ def build_recurrence(
         raise IterationError("selection sides do not match their roles")
     if N < 2:
         raise IterationError("N must be >= 2")
+    upper_A = A if upper_A is None else upper_A
+    if not all(abs(c) <= sys.float_info.max for c in (A, upper_A)):  # NaN fails too
+        raise OutOfRangeError(f"A = {A} and upper_A = {upper_A} must both be finite floats")
     lo_a, lo_b = selection_coefficients(lower)
     up_a, up_b = selection_coefficients(upper)
     k = Fraction(N, N - 1)
@@ -82,7 +86,7 @@ def build_recurrence(
         m21=-k * lo_a,
         m22=k * lo_b,
         k=k,
-        upper_A=A if upper_A is None else upper_A,
+        upper_A=upper_A,
         lower_A=A,
     )
 

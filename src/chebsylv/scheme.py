@@ -40,6 +40,8 @@ class Scheme:
             raise SchemeError("indices must be positive and weights nonzero")
         if self.terms[0] != (1, 1):
             raise SchemeError("scheme must carry index 1 with weight +1")
+        if not all(-(2**63) <= w < 2**63 for _, w in self.terms):
+            raise SchemeError("weights must fit in int64")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -131,6 +133,9 @@ def e_profile(s: Scheme) -> EProfile:
     period = math.lcm(*s.support)
     if period > PERIOD_CAP:
         raise CapacityError(f"period {period} exceeds cap {PERIOD_CAP}")
+    # bounds every |E(x) - E(x-1)| and every |E(x)| on the period, and so the int64 sums
+    if sum(abs(w) * (period // k) for k, w in s.terms) >= 2**63:
+        raise CapacityError("E may pass int64: sum |nu(k)| floor(P/k) >= 2^63")
 
     values = np.zeros(period, dtype=np.int64)
     for k, w in s.terms:

@@ -176,6 +176,8 @@ def _select(
     p, q = _simplest_fraction(rho).as_integer_ratio() if math.isfinite(rho) else (0, 1)
     if p <= q:
         raise OutOfRangeError("rho must be finite and exceed 1")
+    if max_index is not None and not -math.inf < max_index < math.inf:  # NaN fails too
+        raise OutOfRangeError(f"max_index must be finite, got {max_index}")
     # p m, q n < p BLOCK_PERIOD P: only a rho of about 16 digits needs Python ints
     dtype = np.int64 if p * BLOCK_PERIOD * pattern.period < 2**62 else object
     block, prefix = (a.astype(dtype, copy=False) for a in (pattern.block, pattern.prefix))

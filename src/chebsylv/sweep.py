@@ -5,7 +5,7 @@ at rho >= rho_min are those kept at rho_min whose ratio n/m reaches rho, so a
 selection is constant on each plateau (r_prev, r] between neighbouring kept
 ratios. Rows come from one rising pass that solves once per plateau, and the
 optimum from the plateaus near each objective's best grid row, each solved at a
-rho that prints, to 12 digits, on its own plateau.
+rho that prints, to PRINT_DIGITS digits, on its own plateau.
 """
 
 from __future__ import annotations
@@ -23,6 +23,13 @@ from .selection import _pair_sums, select_terms
 
 # Grid points per sweep or optimisation; 10^5 rows of nu8 from 1.02 to 2.0 take about 0.3 s.
 MAX_GRID_POINTS = 100_000
+
+# Kept pairs of both sides, summed over the plateaus one pass of rows solves. The worst case
+# is dense plateaus near the pair cap: nu8 over 1.0003-1.000365 at step 1e-6 solves 66 plateaus,
+# 995,820 pairs, in 2.6 s; both passes of an optimisation take at most twice that (x86-64 VM).
+MAX_SOLVED_PAIRS = 1_000_000
+
+PRINT_DIGITS = 12  # of every printed float: the CLI's, and the optimum's labels (_label)
 
 
 @dataclass(frozen=True)
@@ -59,16 +66,22 @@ def _table(
     def rows(rhos: list[float]) -> Iterator[SweepRow]:
         if not rhos:
             return
+        # each rho's plateau, as the first pair each side keeps there, before any solve
+        plateaus = list(zip(*([bisect_left(r, rho) for rho in rhos] for _, r, _, _ in sides)))
+        distinct = set(plateaus)  # each keeps len(pairs) - first pairs a side
+        kept = len(distinct) * sum(len(pairs) for pairs, *_ in sides) - sum(map(sum, distinct))
+        if kept > MAX_SOLVED_PAIRS:
+            raise CapacityError(f"{kept} pairs to solve, over the budget of {MAX_SOLVED_PAIRS}")
         # the sums over the pairs kept at rhos[0] only: from a low rho_min, most lie below it
-        starts = [bisect_left(ratios, rhos[0]) for _, ratios, _, _ in sides]
+        starts = plateaus[0]
         sums = [list(_pair_sums(pairs[i:], us)) for i, (pairs, _, us, _) in zip(starts, sides)]
         solved = None
-        for rho in rhos:
-            for k, (pairs, ratios, _, _) in enumerate(sides):
-                i = bisect_left(ratios, rho, starts[k])
-                if i > starts[k]:  # the pairs of ratio below rho drop out
-                    sums[k] = [x - d for x, d in zip(sums[k], _pair_sums(pairs[starts[k] : i]))]
-                    starts[k], solved = i, None
+        for rho, firsts in zip(rhos, plateaus):
+            if firsts != starts:  # the pairs of ratio below rho drop out
+                for k, (i, j) in enumerate(zip(starts, firsts)):
+                    if j > i:
+                        sums[k] = [x - d for x, d in zip(sums[k], _pair_sums(sides[k][0][i:j]))]
+                starts, solved = firsts, None
             if solved is None:  # a new plateau: M = [[up_a, -up_b], [-k lo_a, k lo_b]]
                 (lo_a, lo_b), (up_a, up_b) = ([x.as_integer_ratio() for x in xs] for xs in sums)
                 m12 = -up_b[0], up_b[1]
@@ -92,20 +105,21 @@ class OptimizeResult:
 
 
 def _label(rho: float) -> float:
-    """The largest decimal of 12 significant digits <= rho. The CLI prints floats to
-    12 digits, so this rho reads back as itself and keeps the terms it is solved at."""
+    """The largest decimal of PRINT_DIGITS significant digits <= rho. The CLI prints
+    floats to as many, so this rho reads back as itself and keeps the terms it is solved at."""
     d = Decimal(rho)
-    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 11), ROUND_FLOOR))
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() + 1 - PRINT_DIGITS), ROUND_FLOOR))
 
 
 def _self_consistent(row: SweepRow, ratios: list[float], lo: float, hi: float) -> SweepRow:
     """row moved on its plateau of [lo, hi] to the self-consistent rho = b/a, or to the
-    plateau's top when b/a lies above it, or to the 12-digit decimal below either when it
-    would print (at 12 digits) off the plateau. A b/a below the plateau leaves row as it is."""
+    plateau's top when b/a lies above it, or to the _label below either when it would
+    print off the plateau. A b/a below the plateau leaves row as it is."""
     i = bisect_left(ratios, row.rho)  # row's plateau (ratios[i - 1], ratios[i]]
     target = min(row.ratio, ratios[i], hi)
     for rho in (target, _label(target)):
-        if all(lo <= x and bisect_left(ratios, x) == i for x in (rho, float(f"{rho:.12g}"))):
+        printed = float(f"{rho:.{PRINT_DIGITS}g}")
+        if all(lo <= x and bisect_left(ratios, x) == i for x in (rho, printed)):
             return replace(row, rho=rho)
     return row
 
@@ -141,7 +155,7 @@ def _sweep(
         first, last = (bisect_left(ratios, b.rho + d * step) for d in (-2, 2))
         near.update(range(first, last + 1))
     near -= {bisect_left(ratios, g) for g in grid}  # only a plateau off the grid can beat it
-    # each solved at its top, to 12 digits: a plateau narrower than that is passed over
+    # each solved at its top, to PRINT_DIGITS: a plateau narrower than that is passed over
     labels = [x for i in sorted(near) if (x := _label(min(ratios[i], hi))) > ratios[i - 1]]
     usable += [r for r in rows(labels) if r.converges and r.a_limit > 0]
     best_a, best_b, best_ratio = (min(usable, key=key) for key in keys)

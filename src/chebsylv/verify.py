@@ -11,6 +11,7 @@ from .kernel import (
     _LOGS,
     _SEGMENT,
     SIEVE_CAP,
+    TOL,
     CapacityError,
     OutOfRangeError,
     SieveTables,
@@ -25,9 +26,6 @@ from .kernel import (
 )
 from .scheme import Scheme, EProfile, e_profile, constant_A
 from .selection import TermSelection, bound_terms
-
-# Float tolerance of the V-identity and selection-bound checks.
-TOL = 1e-6
 
 # Entries of x per block of the selection-bound scan: each block buffer is
 # 512 KB of float64, which stays in cache.
@@ -240,18 +238,15 @@ def verify_psi_pi(
     """psi(x) <= pi(x) ln x <= psi(x)/alpha + x^alpha ln x at every ladder point."""
     if not xs:
         raise OutOfRangeError("need at least one ladder point")
-    worst = 0.0
-    witness = None
-    for x in xs:
-        br = psi_pi_bracket(x, alpha, tables)
-        gap = max(br.psi_value - br.pi_ln_x, br.pi_ln_x - br.upper)
-        if gap > worst:
-            worst, witness = gap, int(math.floor(x))
+    brackets = [psi_pi_bracket(x, alpha, tables) for x in xs]
+    # a float a - b is > 0 iff a > b, so a bracket holds iff its gap is <= 0
+    gaps = [max(br.psi_value - br.pi_ln_x, br.pi_ln_x - br.upper) for br in brackets]
+    passed = all(br.holds for br in brackets)
     return VerificationReport(
         name=f"psi-pi[alpha={alpha}]",
         x_min=int(min(xs)),
         x_max=int(max(xs)),
-        max_violation=max(0.0, worst),
-        passed=worst <= 0.0,
-        witness_x=witness if worst > 0 else None,
+        max_violation=max(0.0, *gaps),
+        passed=passed,
+        witness_x=None if passed else int(math.floor(xs[gaps.index(max(gaps))])),
     )

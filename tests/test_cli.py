@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from chebsylv import BUILTINS, build_recurrence, constant_A, e_profile, fixed_point, select_terms
-from chebsylv.cli import build_parser, main
+from chebsylv.cli import _jsonable, build_parser, main
 from chebsylv.iteration import MAX_STEPS
 
 
@@ -66,6 +66,24 @@ def test_iterate_hybrid(capsys):
     assert data["alpha"] is None
     assert data["a"] == pytest.approx(0.946197, abs=5e-4)
     assert data["b"] == pytest.approx(1.055185, abs=5e-4)
+
+
+def test_iterate_max_index_without_hybrid_truncates_the_lower_side(capsys):
+    # criterion 5's truncated recurrence: nu7's lower side cut at index 616
+    code, out, _ = run_cli(capsys, *"iterate nu7 --rho 1.1 --hybrid-max-index 616".split())
+    assert code == 0
+    data = json.loads(out)
+    p = e_profile(BUILTINS["nu7"])
+    a7 = constant_A(BUILTINS["nu7"])
+    lower = select_terms(p, "lower", 1.1, max_index=616)
+    upper = select_terms(p, "upper", 1.1)
+    result = fixed_point(build_recurrence(lower, upper, a7, p.n, upper_A=a7))
+    assert (Fraction(data["alpha"]), Fraction(data["beta"])) == (result.alpha, result.beta)
+    assert (data["b"], data["n_lower_terms"]) == (1.0561140629, 28)
+
+
+def test_complex_values_print_as_re_and_im_at_12_digits():
+    assert _jsonable([complex(1 / 3, -2 / 3)]) == [{"re": 0.333333333333, "im": -0.666666666667}]
 
 
 def test_eprofile_csv(capsys, tmp_path):
@@ -348,6 +366,11 @@ def test_floats_have_12_significant_digits(capsys):
         "iterate nu4 --rho 1.3 --steps 3 --b0 inf",
         "iterate nu4 --rho 1.3 --steps 3 --a0=-inf",
         "iterate nu4 --rho 1.05 --steps 10000",  # diverging: larger eigenvalue 1.83
+        # weights in int64 whose E reaches 1.07e19: the int64 cumsum would wrap
+        "analyze 1:1,2:4000000000000000000,3:-2000000000000000000,5:-2666666666666666666,"
+        "6:-4000000000000000000,30:-2000000000000000000,60:-4000000000000000068",
+        "select 1:1,2:-20000000000000000000,4:39999999999999999996 --rho 1.3 --side lower",
+        f"verify asymptotic --scheme 1:1,2:{2 * 10**399},4:{-4 * 10**399 - 4}",
     ],
 )
 def test_bad_user_input_exits_2(capsys, argv):

@@ -121,6 +121,18 @@ def test_side_mismatch_rejected(profiles):
         build_recurrence(upper, lower, 1.0, p.n, upper_A=1.0)
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+def test_build_recurrence_refuses_a_constant_past_the_floats(profiles, bad):
+    p = profiles["nu4"]
+    lower, upper = (select_terms(p, side, 1.3) for side in ("lower", "upper"))
+    a4 = constant_A(BUILTINS["nu4"])
+    for A, upper_A in ((bad, None), (bad, a4), (a4, bad)):
+        with pytest.raises(OutOfRangeError, match="finite"):
+            build_recurrence(lower, upper, A, p.n, upper_A=upper_A)
+
+
 def test_iterate_rejects_negative_steps(profiles):
     rec = _recurrence(profiles, "nu4", 1.5)
     with pytest.raises(ValueError):

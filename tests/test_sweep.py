@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -209,6 +210,27 @@ def test_sweep_grid_point_cap():
         optimize_rho(BUILTINS["nu4"], 1.1, 1.5, 0.4 / MAX_GRID_POINTS)
     rows = sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 0.4 / (MAX_GRID_POINTS - 1))
     assert len(rows) == MAX_GRID_POINTS
+
+
+def test_sweep_solve_budget(monkeypatch):
+    nu8 = BUILTINS["nu8"]
+    start = time.perf_counter()  # 11,154 plateaus of 1.1e8 pairs: about 3 minutes of solves
+    with pytest.raises(CapacityError, match="pairs to solve"):
+        sweep_rho(nu8, 1.0003, 1.0012, 1e-8)
+    assert time.perf_counter() - start < 2
+    assert len(sweep_rho(nu8, 1.0003, 1.0013, 1e-5)) == 101  # 742,813 pairs
+    # the budget is on the kept pairs of both sides summed over the distinct plateaus
+    p4 = e_profile(BUILTINS["nu4"])
+    plateaus = {
+        tuple(len(select_terms(p4, side, 1.1 + i * 0.1).kept_pairs) for side in ("lower", "upper"))
+        for i in range(5)
+    }
+    kept = sum(map(sum, plateaus))
+    monkeypatch.setattr("chebsylv.sweep.MAX_SOLVED_PAIRS", kept - 1)
+    with pytest.raises(CapacityError, match="pairs to solve"):
+        sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 0.1)
+    monkeypatch.setattr("chebsylv.sweep.MAX_SOLVED_PAIRS", kept)
+    assert len(sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 0.1)) == 5
 
 
 def test_optimize_cheb_matches_published_optimum():

@@ -357,6 +357,15 @@ def test_psi_pi_reports_a_corrupted_psi(tables_100k):
     assert (report.passed, report.witness_x, report.max_violation) == (False, 10**4, gaps[2])
 
 
+def test_psi_pi_bracket_and_report_share_one_verdict(tables_100k):
+    # psi raised by 1e-12: the tight bracket at x = 2 fails in both, with no slack to forgive it
+    bumped = dataclasses.replace(tables_100k, psi_at_powers=tables_100k.psi_at_powers + 1e-12)
+    assert not psi_pi_bracket(2, 0.75, bumped).holds
+    report = verify_psi_pi(0.75, [2.0, 100.0], bumped)
+    assert (report.passed, report.witness_x) == (False, 2)
+    assert 0 < report.max_violation < 1e-11
+
+
 def test_constant_A_values_match_table():
     expected = {
         "cheb": 0.92129,
