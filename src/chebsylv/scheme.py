@@ -124,13 +124,12 @@ class EProfile:
 def e_profile(s: Scheme) -> EProfile:
     """Compute E over one full period; requires the cancellation condition.
     E(x) - E(x-1) is nu summed over the divisors of x: one strided add per term."""
-    total = cancellation_check(s)
-    if total != 0:
+    period = math.lcm(*s.support)
+    if sum(w * (period // k) for k, w in s.terms):  # P sum nu(k)/k, in integers
         raise SchemeError(
             f"scheme {render_scheme(s)} fails the cancellation condition "
-            f"(sum nu(n)/n = {total}); E is not periodic"
+            f"(sum nu(n)/n = {cancellation_check(s)}); E is not periodic"
         )
-    period = math.lcm(*s.support)
     if period > PERIOD_CAP:
         raise CapacityError(f"period {period} exceeds cap {PERIOD_CAP}")
     # bounds every |E(x) - E(x-1)| and every |E(x)| on the period, and so the int64 sums

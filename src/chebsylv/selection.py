@@ -3,12 +3,11 @@
 The unit jumps of E are the coefficients of V(x) as a combination of
 psi(x/n). For each side we match opposite-sign unit jumps (each closing jump
 pairs with the most recent open one) and keep unmatched closing jumps as
-standalone terms. The leading block psi(x) - psi(x/N) (lower side) and the
-psi(x) term (upper side) are set aside before matching. From period 4 on,
-the pairs closed in each period are those of the period before, shifted by
-the period; ``pair_pattern`` records that finite pattern and
-``select_terms`` keeps a pair (m, n) iff q n >= p m, reading the float rho
-as the simplest fraction p / q that rounds to it. A selection holds only
+standalone terms, with the leading block psi(x) - psi(x/N) (lower side) or
+psi(x) term (upper side) set aside. Every period closes the pairs of the
+period before, shifted by the period: ``pair_pattern`` matches one period
+as a cycle, and ``select_terms`` keeps a pair (m, n) iff q n >= p m, for the
+simplest fraction p / q that rounds to the float rho. A selection holds only
 what the bound uses and counts the pairs it drops; ``list_dropped_pairs``
 lists them for output.
 """
@@ -24,9 +23,14 @@ import numpy as np
 from .kernel import CapacityError, OutOfRangeError
 from .scheme import EProfile
 
-# The first period whose pairs repeat the period before, shifted by the
-# period (see pair_pattern); periods 1 to BLOCK_PERIOD - 1 are matched.
+# Every selection scans the pairs closed in periods 1 to BLOCK_PERIOD at least:
+# its scan_end is a whole number of periods, BLOCK_PERIOD or more.
 BLOCK_PERIOD = 4
+
+# Unit jumps of E one period may hold for pair_pattern, whose arrays take
+# about 75 bytes per unit: at the cap, 1:1,2:2w,4:-4w-4 (w = 249,998) peaks
+# at 71-75 MB (tracemalloc) and matches in 0.06-0.07 s (2-vCPU x86-64 VM).
+MAX_PATTERN_UNITS = 10**6
 
 # Pairs one side may keep. As rho -> 1 the kept count grows without bound,
 # and the exact fixed point slows faster than linearly in it: selecting both
@@ -73,41 +77,40 @@ class TermSelection:
 
 @dataclass(frozen=True, eq=False)
 class PairPattern:
-    """Every matched pair of one side: ``prefix``, then ``block`` shifted by
-    k * period for each k >= 0. Arrays hold one (m, n) row per pair in closing
-    order; ``block`` holds the pairs closed in period ``BLOCK_PERIOD``."""
+    """Every matched pair of one side: row j of ``pairs``, the (m, n) of a close
+    of one period (1 <= n <= P, closing order; m <= 0 if the open lies one period
+    back), shifted by k periods for each k >= ``first[j]``: 1 for a wrapped row,
+    whose shift 0 is a standalone, and for the leading terms' row, else 0."""
 
     side: str
     period: int
     leading_n: int | None
-    prefix: np.ndarray
-    block: np.ndarray
+    pairs: np.ndarray
+    first: np.ndarray
     standalones: tuple[int, ...]
 
 
 def pair_pattern(profile: EProfile, side: str) -> PairPattern:
-    """Match one side's unit jumps over periods 1 to BLOCK_PERIOD - 1.
+    """Match one side's unit jumps over one period, cyclically.
 
-    The opening jumps are the up-steps of a walk: E - 1 + [x >= N] on the
-    lower side, 1 - E on the upper. A close pairs with the last open on its
-    own level that no earlier close took, as a stack would match them. The
-    steps that cross one edge of the walk (level h to h + 1 or back) cross it
-    in turn up and down, so that open is the step just before the close
-    among the steps on its edge, in walk order; a close with no open there
-    is the first crossing of its edge, a new minimum, and stays standalone.
-    So one stable sort of the steps by edge matches every close at once: the
-    walk stays in [E_min, E_max] (lower) or [1 - E_max, 1 - E_min] (upper), so
-    the edges fit the narrowest signed type holding +-(max |E| + 1) (8 bits
-    for every built-in), which numpy sorts with a linear radix (counting)
-    sort up to 16 bits. A partner array, indexed by close, lists the pairs in closing
-    order without a second sort.
+    One period's unit steps form a walk, E on the lower side and -E on the
+    upper, whose up-steps open and down-steps close; repeated every period,
+    a close pairs with the last open on its own edge (level h to h + 1 or
+    back) before it, as a stack would match them. Each edge is crossed in
+    turn up and down, so the matches repeat every period: one stable sort of
+    the steps by edge puts each close right after its open, or first on its
+    edge, whose last step is then its open one period back (m = x - P <= 0).
+    The edges fit the narrowest signed type holding +-(max |E| + 1) (8 bits
+    for every built-in), which numpy sorts with a linear counting sort up to
+    16 bits; each step's rank in the sort lists the pairs in closing order.
 
-    From period 2 on the walk is periodic and starts every period at the same
-    level. Since E >= 1 on [1, N) and E(P) = 0, the walk reaches its lowest
-    level in period 1 (and again in every later period), so no standalone
-    closes after period 1. From period 3 on, the open a close pairs with lies
-    in the same period or the one before, so the pairs closed in period q + 1
-    are the period-q pairs shifted by P for every q >= 3.
+    The jump stream starts at x = 1 and sets the leading terms aside. On the
+    lower side, the open at 1 and the unit at N that crosses edge 0 match
+    each other, because E >= 1 on [1, N); removing a matched pair changes no
+    other match, and every unit at N has the same position, so it does not
+    matter which of them is removed. On the upper side, the close at 1 has
+    its partner one period back. A close whose partner comes before x = 1 is
+    a standalone.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
@@ -118,34 +121,29 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
     at = np.flatnonzero(jump != 0)
     jump = jump[at]
     size = np.abs(jump)
-    x = np.repeat(at + 1, size)  # one period's unit jumps, in walk order
-    pos = np.concatenate([x + q * period for q in range(BLOCK_PERIOD - 1)])
-    # +1 opens, -1 closes; the leading terms become 0, which no close pairs with
-    unit = np.repeat(np.sign(jump if lower else -jump).astype(np.int8), size)
-    step = np.concatenate((unit,) * (BLOCK_PERIOD - 1))
-    step[0] = 0  # the leading psi(x) term
-    if lower:
-        step[np.searchsorted(x, profile.n)] = 0  # and psi(x/N)
+    units = int(size.sum())
+    if units > MAX_PATTERN_UNITS:
+        raise CapacityError(f"E has {units} unit jumps a period, over the cap {MAX_PATTERN_UNITS}")
+    x = np.repeat(at + 1, size)  # one period's unit steps, in walk order
+    step = np.repeat(np.sign(jump if lower else -jump).astype(np.int8), size)  # +1 opens
     bound = max(-profile.e_min, profile.e_max) + 1  # every edge lies in [-bound, bound]
     edge = np.cumsum(step, dtype=np.min_scalar_type(-bound - 1))
     edge -= step > 0  # an up-step to level h crosses edge h - 1
     order = np.argsort(edge, kind="stable")
-    s, e = step[order], edge[order]
-    hit = np.flatnonzero((s[1:] < 0) & (s[:-1] > 0) & (e[1:] == e[:-1]))
-    partner = np.full(step.size, -1)  # the open each close pairs with
-    partner[order[hit + 1]] = order[hit]
-    closes = np.flatnonzero(partner >= 0)
-    prefix = np.empty((closes.size, 2), dtype=pos.dtype)
-    prefix[:, 0], prefix[:, 1] = pos[partner[closes]], pos[closes]
-    last = prefix[np.searchsorted(closes, (BLOCK_PERIOD - 2) * x.size) :]  # closed in period 3
-    return PairPattern(
-        side=side,
-        period=period,
-        leading_n=profile.n if lower else None,
-        prefix=prefix,
-        block=last + period,
-        standalones=tuple(pos[(step < 0) & (partner < 0)].tolist()),
-    )
+    e = edge[order]
+    ends = np.flatnonzero(np.append(e[1:] != e[:-1], True))  # each edge's last step
+    before = np.arange(-1, units - 1)  # each sorted step's predecessor on its edge, cyclically
+    before[0], before[ends[:-1] + 1] = ends[0], ends[1:]
+    rank = np.empty(units, dtype=np.intp)  # each step's place in the sort
+    rank[order] = np.arange(units)
+    closes = np.flatnonzero(step < 0)
+    opens = order[before[rank[closes]]]
+    wrapped = opens > closes  # the open lies one period back
+    pairs = np.empty((closes.size, 2), dtype=np.int64)
+    pairs[:, 0], pairs[:, 1] = x[opens] - period * wrapped, x[closes]
+    first = (wrapped | (opens == 0)).astype(np.int64)  # opens == 0: the lower (1, N)
+    standalones = tuple(x[closes[wrapped & (closes > 0)]].tolist())  # not the upper close at 1
+    return PairPattern(side, period, profile.n if lower else None, pairs, first, standalones)
 
 
 def select_terms(
@@ -168,34 +166,30 @@ def _select(
     """select_terms on a precomputed pattern.
 
     Keeps a pair iff q n >= p m, for rho read as p / q (_simplest_fraction):
-    block pair j shifted by k periods is kept iff k <= (q n_j - p m_j) /
-    ((p - q) P), a run of shifts from 0. Only kept pairs are built, after the
-    cap is checked on their exact count; the rest up to shift k_end, past
-    which no pair has ratio above rho, are counted.
+    row j shifted by k periods is kept iff k <= (q n_j - p m_j) / ((p - q) P),
+    so it keeps the run of shifts from first_j to that bound. Only kept pairs
+    are built, after the cap is checked on their exact count; the rest up to
+    the scan's last shift, past which no pair has ratio above rho, are counted.
     """
     p, q = _simplest_fraction(rho).as_integer_ratio() if math.isfinite(rho) else (0, 1)
     if p <= q:
         raise OutOfRangeError("rho must be finite and exceed 1")
     if max_index is not None and not -math.inf < max_index < math.inf:  # NaN fails too
         raise OutOfRangeError(f"max_index must be finite, got {max_index}")
-    # p m, q n < p BLOCK_PERIOD P: only a rho of about 16 digits needs Python ints
-    dtype = np.int64 if p * BLOCK_PERIOD * pattern.period < 2**62 else object
-    block, prefix = (a.astype(dtype, copy=False) for a in (pattern.block, pattern.prefix))
-    num, den = q * block[:, 1] - p * block[:, 0], (p - q) * pattern.period
-    # int64 holds the runs: |num // den| <= BLOCK_PERIOD / (p / q - 1) < 2^55
-    runs = np.maximum(num // den + 1, 0).astype(np.int64, copy=False)
-    k_end = -(-int(num.max(initial=0)) // den)
-    keep_prefix = q * prefix[:, 1] >= p * prefix[:, 0]
-    prefix_kept = int(np.count_nonzero(keep_prefix))
+    period, first = pattern.period, pattern.first
+    # |q n - p m| < 2 p P: only a rho of about 16 digits needs Python ints
+    pairs = pattern.pairs if p * period < 2**60 else pattern.pairs.astype(object)
+    num, den = q * pairs[:, 1] - p * pairs[:, 0], (p - q) * period
+    # int64 holds the runs: |num // den| < (p + q) / (p - q) < 2^54
+    runs = np.maximum(num // den + 1 - first, 0).astype(np.int64, copy=False)
+    scans = max(BLOCK_PERIOD, -(-int(num.max()) // den) + 1)  # shifts 0 to scans - 1
     total = int(np.minimum(runs, MAX_KEPT_PAIRS + 1).sum())  # clipped, so it cannot overflow
-    if prefix_kept + total > MAX_KEPT_PAIRS:
+    if total > MAX_KEPT_PAIRS:
         raise CapacityError(  # with the exact count: runs may sum past int64
-            f"side={pattern.side} at rho={rho} keeps {prefix_kept + sum(runs.tolist())} pairs, "
+            f"side={pattern.side} at rho={rho} keeps {sum(runs.tolist())} pairs, "
             f"over the cap of {MAX_KEPT_PAIRS}; use a larger rho"
         )
-    shift = (np.arange(total) - np.repeat(np.cumsum(runs) - runs, runs)) * pattern.period
-    shifted = np.repeat(pattern.block, runs, axis=0) + shift[:, None]
-    m, n = np.concatenate([pattern.prefix[keep_prefix], shifted]).T
+    m, n = _shifted(pattern, runs)
     keep = np.ones(m.size, dtype=bool) if max_index is None else m <= max_index
     excluded = tuple(tuple(pair) for pair in exclude)
     for em, en in excluded:
@@ -206,12 +200,19 @@ def _select(
         rho=rho,
         leading_n=pattern.leading_n,
         kept_pairs=kept_pairs,
-        dropped_pairs=(k_end + 1) * len(pattern.block) + len(pattern.prefix) - len(kept_pairs),
+        dropped_pairs=scans * len(first) - int(first.sum()) - len(kept_pairs),
         standalones=tuple(u for u in pattern.standalones if max_index is None or u <= max_index),
-        scan_end=(BLOCK_PERIOD + k_end) * pattern.period,
+        scan_end=scans * period,
         max_index=max_index,
         excluded=excluded,
     )
+
+
+def _shifted(pattern: PairPattern, runs: np.ndarray) -> np.ndarray:
+    """(m, n) arrays of row j of pattern at shifts first_j to first_j + runs_j - 1."""
+    ends = np.cumsum(runs)
+    shift = np.arange(ends[-1]) + np.repeat(pattern.first + runs - ends, runs)
+    return (np.repeat(pattern.pairs, runs, axis=0) + (shift * pattern.period)[:, None]).T
 
 
 def _simplest_fraction(rho: float) -> Fraction:
@@ -239,19 +240,17 @@ def _sorted_pairs(m: np.ndarray, n: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def list_dropped_pairs(profile: EProfile, sel: TermSelection) -> tuple[tuple[int, int], ...]:
-    """The pairs sel scanned but did not keep, in (m, n) order: every pair of
-    shifts 0 to k_end not among its kept pairs (whether a pair is kept depends
-    on (m, n) alone, so a pair closed twice is dropped twice). Raises
-    CapacityError past MAX_LISTED_PAIRS of them."""
+    """The pairs sel scanned but did not keep, in (m, n) order: row j at
+    shifts first_j to scan_end / P - 1, for every row, less its kept pairs
+    (whether a pair is kept depends on (m, n) alone, so a pair closed twice
+    is dropped twice). Raises CapacityError past MAX_LISTED_PAIRS of them."""
     if sel.dropped_pairs > MAX_LISTED_PAIRS:
         raise CapacityError(
             f"side={sel.side} at rho={sel.rho} drops {sel.dropped_pairs} pairs, "
             f"over the listing budget of {MAX_LISTED_PAIRS}; use a larger rho"
         )
     pattern = pair_pattern(profile, sel.side)
-    shifts = np.arange(sel.scan_end // pattern.period - BLOCK_PERIOD + 1) * pattern.period
-    block = pattern.block + shifts[:, None, None]
-    m, n = np.concatenate([pattern.prefix, block.reshape(-1, 2)]).T
+    m, n = _shifted(pattern, sel.scan_end // pattern.period - pattern.first)
     kept = set(sel.kept_pairs)
     return tuple(pair for pair in _sorted_pairs(m, n) if pair not in kept)
 
@@ -293,7 +292,8 @@ def selection_step_function(
         steps[k] = steps.get(k, 0) + sign
     starts = sorted(steps)
     s = 1 if sel.side == "lower" else -1  # the upper side checks -U <= -E
-    e = s * np.concatenate((profile.values, profile.values))
+    e = np.concatenate((profile.values, profile.values))
+    e *= s  # in place, with no second copy of two periods
     period, level, worst, witness = profile.period, 0, 0, None
     for k, end in zip(starts, starts[1:] + [starts[-1] + period]):
         level += steps[k]

@@ -371,6 +371,8 @@ def test_floats_have_12_significant_digits(capsys):
         "6:-4000000000000000000,30:-2000000000000000000,60:-4000000000000000068",
         "select 1:1,2:-20000000000000000000,4:39999999999999999996 --rho 1.3 --side lower",
         f"verify asymptotic --scheme 1:1,2:{2 * 10**399},4:{-4 * 10**399 - 4}",
+        # 4 * 10^8 + 6 unit jumps a period, past selection.MAX_PATTERN_UNITS
+        "select 1:1,2:200000000,4:-400000004 --rho 1.5 --side lower",
     ],
 )
 def test_bad_user_input_exits_2(capsys, argv):

@@ -141,6 +141,7 @@ def test_profile_matches_floor_division_oracle(profiles):
     "text, error",
     [
         ("1:1,2:-1", SchemeError),  # fails the cancellation condition
+        ("1:1,2:-1,3:-1,7:-1,43:-1", SchemeError),  # by 1/1806, over a period of 1806
         (f"1:1,{PERIOD_CAP + 1}:{-(PERIOD_CAP + 1)}", CapacityError),
         ("1:1,1009:-1,1013:-1,1019:-1,1031:1", SchemeError),  # checked before the period
     ],

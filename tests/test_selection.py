@@ -22,6 +22,7 @@ from chebsylv.scheme import Scheme
 from chebsylv.selection import (
     BLOCK_PERIOD,
     MAX_KEPT_PAIRS,
+    MAX_PATTERN_UNITS,
     DominationReport,
     _select,
     _simplest_fraction,
@@ -426,9 +427,18 @@ def test_pairs_repeat_from_period_three(profiles, side):
             shift = (q - 2) * period
             assert closed[q] == [(m + shift, n + shift) for m, n in closed[2]], (name, q + 1)
         pattern = pair_pattern(p, side)
-        assert pattern.prefix.tolist() == [list(pr) for q in range(3) for pr in closed[q]]
-        assert pattern.block.tolist() == [list(pr) for pr in closed[3]]
+        shift_0_to_2 = [list(pr) for q in range(3) for pr in closed[q]]
+        assert pattern_shifts(pattern, range(3)) == shift_0_to_2
+        assert pattern_shifts(pattern, [3]) == [list(pr) for pr in closed[3]]
         assert list(pattern.standalones) == alone
+
+
+def pattern_shifts(pattern, shifts):
+    """The pattern's pairs at each of shifts, in closing order: row j at
+    shift k when k >= first[j]."""
+    rows = list(zip(pattern.pairs.tolist(), pattern.first.tolist()))
+    period = pattern.period
+    return [[m + k * period, n + k * period] for k in shifts for (m, n), f in rows if k >= f]
 
 
 def loop_pair_pattern(p, side):
@@ -460,9 +470,13 @@ def test_pair_pattern_matches_stack_loop(profiles):
         for side in ("lower", "upper"):
             pattern = pair_pattern(p, side)
             prefix, block, standalones = loop_pair_pattern(p, side)
-            assert np.array_equal(pattern.prefix, prefix), (name, side)
-            assert np.array_equal(pattern.block, block), (name, side)
+            assert pattern_shifts(pattern, range(3)) == prefix.tolist(), (name, side)
+            assert pattern_shifts(pattern, [3]) == block.tolist(), (name, side)
             assert pattern.standalones == standalones, (name, side)
+            # one row per close of one period: the closes of period 4 are all of them
+            assert len(pattern.pairs) == len(block), (name, side)
+    for side in ("lower", "upper"):
+        assert len(pair_pattern(profiles["nu8"], side).pairs) == 5_880
 
 
 @pytest.mark.parametrize("weight", [300, 70_000])
@@ -470,15 +484,31 @@ def test_pair_pattern_matches_stack_loop(profiles):
 def test_pair_pattern_on_walks_wider_than_a_byte_and_16_bits(weight, side):
     # E climbs to weight + 1 within each period, so the edge key of the sort
     # needs 16 bits at 300 and 32 at 70,000; a key cut to 16 bits at 70,000
-    # lost 13,395 of the 210,008 lower prefix pairs
+    # lost 13,395 of the 210,008 lower pairs closed in periods 1 to 3
     p = e_profile(Scheme(((1, 1), (2, -2), (3, weight), (6, -2 * weight))))
     assert (p.e_min, p.e_max) == (0, weight + 1)
     pattern = pair_pattern(p, side)
     prefix, block, standalones = loop_pair_pattern(p, side)
-    assert np.array_equal(pattern.prefix, prefix)
-    assert np.array_equal(pattern.block, block)
+    assert pattern_shifts(pattern, range(3)) == prefix.tolist()
+    assert pattern_shifts(pattern, [3]) == block.tolist()
     assert pattern.standalones == standalones
     assert len(prefix) == (3 * weight + 8 if side == "lower" else 2 * weight + 8)
+
+
+@pytest.mark.parametrize("w", [(MAX_PATTERN_UNITS - 6) // 4 + 1, 10**8])
+def test_pair_pattern_refuses_unit_jumps_past_the_cap(w):
+    # 1:1,2:2w,4:-4w-4 makes 4w + 6 unit jumps a period of 4; past the cap
+    # they are refused before any per-unit array is made (at about 75 bytes a
+    # unit, w = 10^8 would need 30 GB)
+    p = e_profile(Scheme(((1, 1), (2, 2 * w), (4, -4 * w - 4))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"{4 * w + 6} unit jumps a period"):
+            select_terms(p, "lower", 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
 
 
 def test_rho_near_one_exceeds_the_pair_cap(profiles):
@@ -486,20 +516,20 @@ def test_rho_near_one_exceeds_the_pair_cap(profiles):
     p = profiles["nu1"]
     with pytest.raises(CapacityError):
         select_terms(p, "lower", 1.000001)
-    # the block pair (7, 8) shifted by k periods sets a breakpoint at
-    # (8 + 2k) / (7 + 2k); with both prefix pairs, k = 9,997 keeps exactly
+    # the shift-3 pair (7, 8) shifted by k periods sets a breakpoint at
+    # (8 + 2k) / (7 + 2k); with both pairs of shifts 0 to 2, k = 9,997 keeps exactly
     # the cap and k = 9,998 one pair more
     assert len(select_terms(p, "lower", 20002 / 20001).kept_pairs) == MAX_KEPT_PAIRS
     with pytest.raises(CapacityError, match=f"keeps {MAX_KEPT_PAIRS + 1} pairs, over the cap"):
         select_terms(p, "lower", 20004 / 20003)
-    # 70,003 block pairs next to rho = 1: each keeps about 1.5 * 10^15 shifts,
+    # 70,003 shift-3 pairs next to rho = 1: each keeps about 1.5 * 10^15 shifts,
     # and together they keep more pairs than an int64 holds
     wide = pair_pattern(e_profile(Scheme(((1, 1), (2, -2), (3, 70_000), (6, -140_000)))), "lower")
     rho = math.nextafter(1, 2)
     a, b = _simplest_fraction(rho).as_integer_ratio()
     den = (a - b) * wide.period
-    kept = sum(max(0, (b * n - a * m) // den + 1) for m, n in wide.block.tolist())
-    kept += sum(b * n >= a * m for m, n in wide.prefix.tolist())
+    kept = sum(max(0, (b * n - a * m) // den + 1) for m, n in pattern_shifts(wide, [3]))
+    kept += sum(b * n >= a * m for m, n in pattern_shifts(wide, range(3)))
     assert kept > 2**63
     with pytest.raises(CapacityError, match=f"keeps {kept} pairs, over the cap"):
         _select(wide, rho)
@@ -530,7 +560,8 @@ def test_simplest_fraction_reads_back_ratios_and_decimals():
 def dense_select(pattern, rho, max_index=None, exclude=()):
     """_select that lists every scanned pair and sorts them all before
     filtering: (kept_pairs, dropped_pairs, standalones, scan_end)."""
-    period, (bm, bn), (pm, pn) = pattern.period, pattern.block.T, pattern.prefix.T
+    (bm, bn), (pm, pn) = (np.array(pattern_shifts(pattern, k)).T for k in ([3], range(3)))
+    period = pattern.period
     reach = (bn - rho * bm) / ((rho - 1) * period)
     kept_count = np.sum(np.floor(reach[reach >= 0]) + 1) + np.count_nonzero(pn / pm >= rho)
     if kept_count > MAX_KEPT_PAIRS:
@@ -563,9 +594,9 @@ def dense_select(pattern, rho, max_index=None, exclude=()):
 
 
 def _ties(pattern):
-    """Block pairs with the threshold each sits exactly on, ((m, n), n / m):
+    """Shift-3 pairs with the threshold each sits exactly on, ((m, n), n / m):
     the three pairs of largest ratio, each shifted by 0 to 2 periods."""
-    top = sorted(pattern.block.tolist(), key=lambda pr: pr[1] / pr[0])[-3:]
+    top = sorted(pattern_shifts(pattern, [3]), key=lambda pr: pr[1] / pr[0])[-3:]
     shifted = [(m + k * pattern.period, n + k * pattern.period) for m, n in top for k in range(3)]
     return [((m, n), n / m) for m, n in shifted]
 
@@ -606,7 +637,7 @@ def test_select_matches_dense_scan(scheme, near_one):
 
 def test_select_memory_near_the_pair_cap(profiles):
     # nu8's lower side at rho = 1.0003 keeps 8,340 pairs and drops 1.5
-    # million; building the kept pairs alone peaks near 1.7 MB, where arrays
+    # million; building the kept pairs alone peaks near 1.5 MB, where arrays
     # of every scanned pair took 37.7 MB and a tuple per scanned pair 250 MB
     pattern = pair_pattern(profiles["nu8"], "lower")
     tracemalloc.start()
