@@ -13,13 +13,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .kernel import (
-    CapacityError,
-    OutOfRangeError,
-    build_sieve,
-    check_convolution_identities,
-    lcm_identity_failures,
-)
+from .kernel import CapacityError, OutOfRangeError, build_sieve, check_convolution_identities
 from .scheme import (
     BUILTINS,
     SchemeError,
@@ -39,6 +33,7 @@ from .selection import (
 from .iteration import IterationError, build_recurrence, fixed_point, iterate
 from .sweep import PRINT_DIGITS, _sweep
 from .verify import (
+    lcm_identity_failures,
     verify_V_identities,
     verify_asymptotic_A,
     verify_final_bounds,
@@ -215,20 +210,8 @@ def _cmd_sweep(args) -> dict:
     return payload
 
 
-# Each verify check's --limit when the flag is absent.
-_VERIFY_LIMITS = {
-    "convolution": 10**4,
-    "lcm": 50,
-    "v-identity": 10**4,
-    "selection": 10**5,
-    "asymptotic": 10**5,
-    "final-bounds": 10**6,
-    "psi-pi": 10**5,
-}
-
-
 def _cmd_verify(args) -> dict:
-    limit = _VERIFY_LIMITS[args.check] if args.limit is None else args.limit
+    limit = args.limit
     if args.check == "convolution":
         rep = check_convolution_identities(limit)
         return {"name": "convolution", **_fields(rep), "passed": rep.passed}
@@ -236,10 +219,9 @@ def _cmd_verify(args) -> dict:
         failures = lcm_identity_failures(limit)
         return {"name": "lcm", "x_max": limit, "failures": failures, "passed": not failures}
     if args.check == "v-identity":
-        s = resolve_scheme(args.scheme or "cheb")
-        rep = verify_V_identities(s, limit)
+        rep = verify_V_identities(resolve_scheme(args.scheme), limit)
     elif args.check == "selection":
-        s = resolve_scheme(args.scheme or "cheb")
+        s = resolve_scheme(args.scheme)
         p = e_profile(s)
         rep = verify_selection_bounds(
             s,
@@ -248,13 +230,12 @@ def _cmd_verify(args) -> dict:
             limit,
         )
     elif args.check == "asymptotic":
-        s = resolve_scheme(args.scheme or "cheb")
         ladder = [100 * 2**i for i in range(max(limit // 100, 0).bit_length())]  # 100 2^i <= limit
-        rep = verify_asymptotic_A(s, ladder)
+        rep = verify_asymptotic_A(resolve_scheme(args.scheme), ladder)
     elif args.check == "final-bounds":
         rep = verify_final_bounds(args.a, args.b, limit)
     else:  # psi-pi
-        tables = build_sieve(limit)
+        tables = build_sieve(limit)  # first: it refuses a limit too large for float()
         ladder = [float(x) for x in (100, 1000, 10**4, limit) if x <= limit]
         rep = verify_psi_pi(args.alpha, ladder, tables)
     return _fields(rep)
@@ -320,17 +301,25 @@ _SUBCOMMANDS = (
         _EXCLUDE,
         _CSV,
     ]),
-    ("verify", _cmd_verify, "empirical checks against the sieve oracle", [
-        ("check", {"choices": tuple(_VERIFY_LIMITS)}),
-        ("--limit", {"type": int}),
-        ("--scheme", {}),
-        ("--rho", {"type": float, "default": 1.2}),
-        ("--a", {"type": float, "default": 0.9226}),
-        ("--b", {"type": float, "default": 1.0765}),
-        ("--alpha", {"type": float, "default": 0.75}),
-    ]),
+    ("verify", _cmd_verify, "empirical checks against the sieve oracle", []),
     ("list-schemes", _cmd_list_schemes, "built-in scheme registry", []),
 )
+
+# (default --limit, other options) of every verify check, each a sub-parser of
+# verify, in the order --help lists them: a check takes only its own options.
+_VERIFY_SCHEME = ("--scheme", {"default": "cheb"})
+_VERIFY_CHECKS = {
+    "convolution": (10**4, []),
+    "lcm": (50, []),
+    "v-identity": (10**4, [_VERIFY_SCHEME]),
+    "selection": (10**5, [_VERIFY_SCHEME, ("--rho", {"type": float, "default": 1.2})]),
+    "asymptotic": (10**5, [_VERIFY_SCHEME]),
+    "final-bounds": (10**6, [
+        ("--a", {"type": float, "default": 0.9226}),
+        ("--b", {"type": float, "default": 1.0765}),
+    ]),
+    "psi-pi": (10**5, [("--alpha", {"type": float, "default": 0.75})]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,6 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
+    checks = sub.choices["verify"].add_subparsers(dest="check", required=True)
+    for check, (limit, options) in _VERIFY_CHECKS.items():
+        # no abbreviations: psi-pi would read final-bounds' --a as its --alpha
+        p = checks.add_parser(check, allow_abbrev=False)
+        p.add_argument("--limit", type=int, default=limit, help="default %(default)s")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

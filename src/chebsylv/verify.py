@@ -22,7 +22,9 @@ from .kernel import (
     _running_peak,
     _sieve_for,
     _Slices,
-    psi_pi_bracket,
+    build_sieve,
+    pi_count,
+    psi,
 )
 from .scheme import Scheme, EProfile, e_profile, constant_A
 from .selection import TermSelection, bound_terms
@@ -36,6 +38,7 @@ _PIECES = 1 << 15
 # sum |nu(k)| ulp(lgamma(x/k + 1)) / ln x: over the nine built-ins 0.029-0.040 at 10^14, 0.23-0.37
 # at 10^15 and 3.3-4.1 at 10^16, against pass thresholds 2 ratio(100) of 0.70-1.97.
 ASYMPTOTIC_CAP = 10**14
+LCM_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,70 @@ def verify_final_bounds(
         passed=passed,
         witness_x=witness,
         extras={"C_low": c_low, "C_high": c_high},
+    )
+
+
+def lcm_identity_failures(x_max: int) -> list[int]:
+    """Every x <= x_max at which the product of p over prime powers p^m <= x
+    differs from lcm(1..x).
+
+    One pass with both sides as running integers: the product gains a factor
+    p at each prime power x = p^m, and the lcm takes in x. The lcm has about
+    1.44 x bits, so the pass is quadratic in x_max and capped at LCM_CAP.
+    """
+    if x_max < 1:
+        raise OutOfRangeError("lcm check needs x_max >= 1")
+    if x_max > LCM_CAP:
+        raise CapacityError(f"lcm check limit {x_max} exceeds cap {LCM_CAP}")
+    base = [1] * (x_max + 1)  # base[p^m] = p, 1 elsewhere
+    for p in build_sieve(x_max).primes.tolist():  # LCM_CAP <= SIEVE_CAP
+        pk = p
+        while pk <= x_max:
+            base[pk] = p
+            pk *= p
+    prod = lcm = 1
+    failures = []
+    for x in range(1, x_max + 1):
+        prod *= base[x]
+        lcm = math.lcm(lcm, x)
+        if prod != lcm:
+            failures.append(x)
+    return failures
+
+
+def lcm_identity_check(x: int) -> bool:
+    """True iff the product of p over prime powers p^m <= x equals lcm(1..x)."""
+    return x not in lcm_identity_failures(x)
+
+
+@dataclass(frozen=True)
+class PsiPiBracket:
+    x: float
+    alpha: float
+    psi_value: float
+    pi_ln_x: float
+    upper: float
+    holds: bool
+
+
+def psi_pi_bracket(x: float, alpha: float, tables: SieveTables) -> PsiPiBracket:
+    """Evaluate psi(x) <= pi(x) ln x <= psi(x)/alpha + x^alpha ln x."""
+    if not 0 < alpha < 1:
+        raise OutOfRangeError("alpha must be in (0, 1)")
+    if x <= 1:
+        raise OutOfRangeError("x must exceed 1")
+    psi_v = psi(x, tables)
+    mid = pi_count(x, tables) * math.log(x)
+    upper = psi_v / alpha + x**alpha * math.log(x)
+    return PsiPiBracket(
+        x=x,
+        alpha=alpha,
+        psi_value=psi_v,
+        pi_ln_x=mid,
+        upper=upper,
+        # no slack: over 2 <= x <= 10^6, psi - pi ln x peaks at 0.0 (x = 2, both ln 2), next
+        # -0.288, and pi ln x - upper at -1.37 for alpha in {0.6, 0.75, 0.9, 0.999}
+        holds=psi_v <= mid <= upper,
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import sys
@@ -10,6 +11,7 @@ import pytest
 from chebsylv import BUILTINS, build_recurrence, constant_A, e_profile, fixed_point, select_terms
 from chebsylv.cli import _jsonable, build_parser, main
 from chebsylv.iteration import MAX_STEPS
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -468,10 +470,21 @@ PARSED = {
         "command": "sweep", "scheme": "cheb", "rho_min": 1.02, "rho_max": 2.0,
         "step": 0.005, "refine": False, "exclude": None, "csv": None,
     },
-    "verify lcm": {
-        "command": "verify", "check": "lcm", "limit": None, "scheme": None,
-        "rho": 1.2, "a": 0.9226, "b": 1.0765, "alpha": 0.75,
+    "verify convolution": {"command": "verify", "check": "convolution", "limit": 10**4},
+    "verify lcm": {"command": "verify", "check": "lcm", "limit": 50},
+    "verify v-identity": {
+        "command": "verify", "check": "v-identity", "limit": 10**4, "scheme": "cheb",
     },
+    "verify selection": {
+        "command": "verify", "check": "selection", "limit": 10**5, "scheme": "cheb", "rho": 1.2,
+    },
+    "verify asymptotic": {
+        "command": "verify", "check": "asymptotic", "limit": 10**5, "scheme": "cheb",
+    },
+    "verify final-bounds": {
+        "command": "verify", "check": "final-bounds", "limit": 10**6, "a": 0.9226, "b": 1.0765,
+    },
+    "verify psi-pi": {"command": "verify", "check": "psi-pi", "limit": 10**5, "alpha": 0.75},
     "list-schemes": {"command": "list-schemes"},
 }
 
@@ -481,6 +494,61 @@ def test_parser_dests_and_defaults(argv):
     args = vars(build_parser().parse_args(argv.split()))
     assert callable(args.pop("func"))
     assert args == PARSED[argv]
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """name -> sub-parser of every sub-command that parser declares."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# The options of each verify check besides -h and --limit, and a valid value
+# of every such option.
+VERIFY_OPTIONS = {
+    "convolution": (),
+    "lcm": (),
+    "v-identity": ("--scheme",),
+    "selection": ("--scheme", "--rho"),
+    "asymptotic": ("--scheme",),
+    "final-bounds": ("--a", "--b"),
+    "psi-pi": ("--alpha",),
+}
+OPTION_VALUES = {"--scheme": "nu4", "--rho": "5", "--a": "3", "--b": "1", "--alpha": "7"}
+
+
+def test_each_verify_check_declares_only_its_own_options():
+    checks = _subparsers(_subparsers(build_parser())["verify"])
+    declared = {
+        check: sorted(flag for action in p._actions for flag in action.option_strings)
+        for check, p in checks.items()
+    }
+    assert declared == {
+        check: sorted(("-h", "--help", "--limit", *own)) for check, own in VERIFY_OPTIONS.items()
+    }
+
+
+# 28 (check, option) pairs: every option of another check that a check does not share
+@pytest.mark.parametrize("check, option", [
+    (check, option) for check, own in VERIFY_OPTIONS.items()
+    for option in OPTION_VALUES if option not in own
+])
+def test_verify_check_refuses_another_checks_option(capsys, check, option):
+    value = OPTION_VALUES[option]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check, "--limit", "10", option, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"error: unrecognized arguments: {option} {value}" in err
+
+
+def test_goldens_run_every_subcommand_and_verify_check():
+    # a subcommand or check added to the parser without a golden fails here
+    parser = build_parser()
+    commands = _subparsers(parser)
+    declared = {(name, None) for name in commands if name != "verify"}
+    declared |= {("verify", check) for check in _subparsers(commands["verify"])}
+    parsed = (parser.parse_args(argv.split()) for argv in GOLDEN_COMMANDS.values())
+    assert {(args.command, getattr(args, "check", None)) for args in parsed} == declared
 
 
 def test_select_failed_domination_exits_0(capsys):

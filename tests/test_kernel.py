@@ -22,8 +22,8 @@ from chebsylv.kernel import (
     SIEVE_CAP,
     SieveTables,
     _block_logs,
-    lcm_identity_failures,
 )
+from chebsylv.verify import lcm_identity_failures
 from oracles import chebyshev_T, log_prefix, log_table
 
 

@@ -19,8 +19,8 @@ from chebsylv import (
     verify_psi_pi,
     verify_selection_bounds,
 )
-from chebsylv.kernel import SieveTables, psi_pi_bracket
-from chebsylv.verify import _BLOCK, _PIECES, ASYMPTOTIC_CAP
+from chebsylv.kernel import SieveTables
+from chebsylv.verify import _BLOCK, _PIECES, ASYMPTOTIC_CAP, psi_pi_bracket
 from oracles import (
     chebyshev_T,
     dense_final_bounds,
