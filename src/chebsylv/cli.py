@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 from .kernel import CapacityError, OutOfRangeError, build_sieve, check_convolution_identities
@@ -30,7 +32,7 @@ from .selection import (
     selection_rows,
     selection_step_function,
 )
-from .iteration import IterationError, build_recurrence, fixed_point, iterate
+from .iteration import IterationError, _ratio, build_recurrence, fixed_point, iterate
 from .sweep import PRINT_DIGITS, _sweep
 from .verify import (
     lcm_identity_failures,
@@ -61,33 +63,21 @@ _PLAIN = frozenset((int, str, bool, type(None)))
 
 
 def _jsonable(value):
-    """Floats at PRINT_DIGITS significant digits, Fractions as 'p/q', containers recursed."""
+    """Floats at PRINT_DIGITS significant digits, a non-finite one as None (strict JSON);
+    Fractions as 'p/q' in full, through decimal, which has no digit limit; containers recursed."""
     if type(value) in _PLAIN:  # most values, e.g. the ints of every listed pair
         return value
-    if isinstance(value, Fraction):
-        return _fraction_text(value)
-    if is_dataclass(value):
-        return _jsonable(_fields(value))
-    if isinstance(value, float):
-        return float(f"{value:.{PRINT_DIGITS}g}")
-    if isinstance(value, complex):  # an eigenvalue off the real line
-        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return [_jsonable(v) for v in value]  # a list or tuple
-
-
-def _fraction_text(value: Fraction) -> str:
-    """'p/q' in full. Near the pair cap an exact fixed point runs past the
-    interpreter's int-to-str digit limit (nu8 at rho = 1.0003: about 47,000
-    digits in each numerator and denominator, 0.15 s to print alpha and
-    beta), so the limit is lifted for this conversion only."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if isinstance(value, float):
+        return float(f"{value:.{PRINT_DIGITS}g}") if math.isfinite(value) else None
+    if isinstance(value, Fraction):
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    if isinstance(value, complex):  # an eigenvalue off the real line
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
+    return _jsonable(_fields(value))  # a result dataclass
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -180,7 +170,7 @@ def _cmd_iterate(args) -> dict:
         "beta": result.beta,
         "a": result.a_limit,
         "b": result.b_limit,
-        "ratio": result.b_limit / result.a_limit,
+        "ratio": _ratio(result.a_limit, result.b_limit),
         "eigenvalues": result.eigenvalues,
         "converges": result.converges,
         "n_lower_terms": lower.n_terms,

@@ -154,6 +154,11 @@ def fixed_point(rec: AffineRecurrence) -> IterationResult:
     )
 
 
+def _ratio(a: float, b: float) -> float:
+    """Sylvester's ratio b / a of the limits, inf at a = 0."""
+    return b / a if a else math.inf
+
+
 def iterate(
     rec: AffineRecurrence, a0: float, b0: float, steps: int
 ) -> list[tuple[int, float, float]]:

@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from decimal import ROUND_FLOOR, Decimal
 
-from .iteration import IterationError, _solve
+from .iteration import IterationError, _ratio, _solve
 from .kernel import CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
 from .selection import _pair_sums, select_terms
@@ -90,7 +90,7 @@ def _table(
                 # a complex-conjugate pair is reported by its modulus
                 lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in eigs)
                 counts = (base + 2 * (len(p) - i) for i, (p, _, _, base) in zip(starts, sides))
-                solved = (a, b, b / a if a else math.inf, lam1, lam2, *counts, converges)
+                solved = (a, b, _ratio(a, b), lam1, lam2, *counts, converges)
             yield SweepRow(rho, *solved)
 
     return sorted(r for _, ratios, _, _ in sides for r in ratios) + [math.inf], rows

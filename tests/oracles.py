@@ -4,10 +4,12 @@ the random schemes they compare them on."""
 import cmath
 import math
 import random
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 import numpy as np
 
+from chebsylv import build_recurrence, constant_A, e_profile, fixed_point, select_terms
 from chebsylv.iteration import AffineRecurrence, IterationError, IterationResult
 from chebsylv.kernel import CapacityError, ConvolutionReport, _add_multiples
 from chebsylv.scheme import PERIOD_CAP, Scheme, SchemeError, cancellation_check, render_scheme
@@ -66,6 +68,64 @@ def fraction_fixed_point(rec: AffineRecurrence) -> IterationResult:
         eigenvalues=((t - root) / 2, (t + root) / 2),
         converges=abs(det_m) < 1 and abs(tr) < 1 + det_m,
     )
+
+
+def _floor_12_digits(x: float) -> float:
+    """The largest decimal of 12 significant digits not above x."""
+    d = Decimal(x)
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 11), ROUND_FLOOR))
+
+
+def plateau_walk(s: Scheme, rho_min: float, rho_max: float, step: float):
+    """optimize_rho by exhaustion: every grid point rho_min + i step, then the top of
+    every plateau of the window past the first (which holds rho_min) at its largest
+    12-digit decimal not above the top, each solved through select_terms,
+    build_recurrence and fixed_point with no solve budget. Returns the best
+    (rho, a, b) by largest a, by smallest b and by smallest b/a over the points that
+    converge with a > 0; ties go to the earlier point. A plateau narrower than
+    12 digits is passed over."""
+    profile, A = e_profile(s), constant_A(s)
+    grid = [rho_min + i * step for i in range(int((rho_max - rho_min) / step + 1e-9) + 1)]
+    hi = max(rho_max, grid[-1])
+    kept = (select_terms(profile, side, rho_min).kept_pairs for side in ("lower", "upper"))
+    ratios = sorted(n / m for pairs in kept for m, n in pairs if n / m < hi)
+    tops = (_floor_12_digits(top) for top in ratios[1:] + [hi])
+    points = grid + [x for below, x in zip(ratios, tops) if x > below]
+    found = []
+    for rho in points:
+        lower, upper = (select_terms(profile, side, rho) for side in ("lower", "upper"))
+        result = fixed_point(build_recurrence(lower, upper, A, profile.n))
+        if result.converges and result.a_limit > 0:
+            found.append((rho, result.a_limit, result.b_limit))
+    return (
+        min(found, key=lambda r: -r[1]),
+        min(found, key=lambda r: r[2]),
+        min(found, key=lambda r: r[2] / r[1]),
+    )
+
+
+def optimize_windows(seed: int) -> list[tuple[str, float, float, float]]:
+    """(scheme, rho_min, rho_max, step) of the twenty optimize windows that the
+    optimize benchmark draws for seed: one for nu8 and five for nu7, 0.2 wide at
+    step 0.01, and two for each small built-in, 0.3 wide at step 0.005. Each start
+    is uniform in its own equal sub-band above where the scheme converges; the
+    benchmark's sweep windows are drawn in between and passed over."""
+    converges_from = {
+        "nu1": 1.34, "nu2": 1.18, "nu3": 1.16, "nu4": 1.18, "nu5": 1.10,
+        "nu6": 1.06, "nu7": 1.06, "nu8": 1.04, "cheb": 1.06,
+    }
+    strata = [("nu8", 1, 1.30, 0.01, 0.2), ("nu7", 5, 1.30, 0.01, 0.2)]
+    for name in ("nu1", "nu2", "nu3", "nu4", "nu5", "nu6", "cheb"):
+        strata.append((name, 2, 1.6, 0.005, 0.3))
+    rng = random.Random(f"optimize:{seed}")
+    windows = []
+    for name, k, top, step, width in strata:
+        lo = converges_from[name] + 0.02
+        starts = [round(lo + (i + rng.random()) * ((top - lo) / k), 2) for i in range(k)]
+        windows += [(name, start, round(start + width, 2), step) for start in starts]
+        for _ in range(k):  # the starts of as many sweep windows
+            rng.random()
+    return windows
 
 
 def value_at(profile, x: int) -> int:

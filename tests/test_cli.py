@@ -88,6 +88,11 @@ def test_complex_values_print_as_re_and_im_at_12_digits():
     assert _jsonable([complex(1 / 3, -2 / 3)]) == [{"re": 0.333333333333, "im": -0.666666666667}]
 
 
+def test_non_finite_floats_print_as_null():
+    values = (float("inf"), float("-inf"), float("nan"), complex(float("nan"), 1.0))
+    assert _jsonable(values) == [None, None, None, {"re": None, "im": 1.0}]
+
+
 def test_eprofile_csv(capsys, tmp_path):
     path = tmp_path / "ep.csv"
     code, out, _ = run_cli(capsys, "eprofile", "cheb", "--csv", str(path))
@@ -311,10 +316,15 @@ def int_digit_limit(digits):
         sys.set_int_max_str_digits(old)
 
 
-def test_iterate_prints_alpha_past_the_int_digit_limit(capsys):
+def _refuse_digit_limit_change(digits):
+    raise AssertionError("the CLI changed the interpreter's int-to-str digit limit")
+
+
+def test_iterate_prints_alpha_past_the_int_digit_limit(capsys, monkeypatch):
     # alpha at nu8, rho = 1.003 has 4,746 digits, past the default limit of
-    # 4,300, which the CLI lifts only to print it
-    with int_digit_limit(4300):
+    # 4,300, which the CLI leaves alone: it prints fractions through decimal
+    with int_digit_limit(4300), monkeypatch.context() as patch:
+        patch.setattr(sys, "set_int_max_str_digits", _refuse_digit_limit_change)
         code, out, _ = run_cli(capsys, "iterate", "nu8", "--rho", "1.003")
         assert sys.get_int_max_str_digits() == 4300
     assert code == 0

@@ -36,11 +36,13 @@ COMMANDS = {
     "iterate_nu4_start": "iterate nu4 --rho 1.5 --steps 3 --a0 0.9 --b0 1.1",
     "iterate_nu7_hybrid_max_index": "iterate nu7 --rho 1.1 --hybrid-lower nu6 --hybrid-max-index 100",
     "iterate_nu2_exclude": "iterate nu2 --rho 1.25 --exclude 7,9",
+    "iterate_a_zero": "iterate 1:1,2:-2,11:1,22:-2 --rho 1.5",  # b/a prints as null
     "sweep_cheb_refine": "sweep cheb --rho-min 1.02 --rho-max 2.0 --step 0.005 --refine",
     "sweep_nu5_refine": "sweep nu5 --rho-min 1.05 --rho-max 1.6 --step 0.01 --refine",
     "sweep_nu7_refine": "sweep nu7 --rho-min 1.08 --rho-max 1.3 --step 0.01 --refine",
     "sweep_nu8_refine": "sweep nu8 --rho-min 1.06 --rho-max 1.26 --step 0.01 --refine",
     "sweep_nu1": "sweep nu1 --rho-min 1.3 --rho-max 1.6 --step 0.05",
+    "sweep_a_zero": "sweep 1:1,2:-2,11:1,22:-2 --rho-min 1.45 --rho-max 1.55 --step 0.05",
     "verify_convolution": "verify convolution --limit 2000",
     "verify_lcm": "verify lcm --limit 30",
     "verify_v_identity": "verify v-identity --scheme nu4 --limit 2000",

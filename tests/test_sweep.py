@@ -18,7 +18,7 @@ from chebsylv import (
 )
 from chebsylv.selection import _simplest_fraction
 from chebsylv.sweep import MAX_GRID_POINTS, SweepRow, _label, _self_consistent, _table
-from oracles import fraction_fixed_point
+from oracles import fraction_fixed_point, optimize_windows, plateau_walk
 
 
 def test_sweep_grid_size_and_order():
@@ -87,6 +87,26 @@ def test_sweep_and_optimum_with_exclusions_match_exact_iteration(profiles):
     _assert_rows_exact(s, p, [result.best_a, result.best_b, result.best_ratio], NU6_EXCLUSIONS)
 
 
+def _assert_matches_plateau_walk(result, s, rho_min, rho_max, step):
+    """The optimum has the best a, b and b/a of every plateau of the window, and
+    finds the best a and the best b at the rho the walk finds them."""
+    walk_a, walk_b, walk_ratio = plateau_walk(s, rho_min, rho_max, step)
+    assert (result.best_a.rho, result.best_a.a_limit, result.best_a.b_limit) == walk_a
+    assert (result.best_b.rho, result.best_b.a_limit, result.best_b.b_limit) == walk_b
+    best, (_, a, b) = result.best_ratio, walk_ratio  # best.rho moved along its plateau
+    assert (best.a_limit, best.b_limit, best.ratio) == (a, b, b / a)
+
+
+# the 60 optimize windows of the benchmark's seeds 1, 2 and 3
+SEEDED_WINDOWS = [w for seed in (1, 2, 3) for w in optimize_windows(seed)]
+
+
+@pytest.mark.parametrize("name, rho_min, rho_max, step", SEEDED_WINDOWS)
+def test_optimum_matches_the_plateau_walk(name, rho_min, rho_max, step):
+    s = BUILTINS[name]
+    _assert_matches_plateau_walk(optimize_rho(s, rho_min, rho_max, step), s, rho_min, rho_max, step)
+
+
 @pytest.mark.parametrize(
     "name, rho_min, rho_max, step",
     [
@@ -105,6 +125,7 @@ def test_sweep_and_optimum_with_exclusions_match_exact_iteration(profiles):
 def test_optimum_stays_in_the_window(profiles, name, rho_min, rho_max, step):
     s, p = BUILTINS[name], profiles[name]
     result = optimize_rho(s, rho_min, rho_max, step)
+    _assert_matches_plateau_walk(result, s, rho_min, rho_max, step)
     best = (result.best_a, result.best_b, result.best_ratio)
     for row in best:
         # grid points may pass rho_max by float rounding (rho_min + i * step)
