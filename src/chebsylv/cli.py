@@ -15,7 +15,14 @@ from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
-from .kernel import CapacityError, OutOfRangeError, build_sieve, check_convolution_identities
+from . import iteration, selection, sweep, verify  # each loaded by the handlers that use it
+from .kernel import (
+    PRINT_DIGITS,
+    CapacityError,
+    OutOfRangeError,
+    build_sieve,
+    check_convolution_identities,
+)
 from .scheme import (
     BUILTINS,
     SchemeError,
@@ -24,23 +31,6 @@ from .scheme import (
     e_profile,
     render_scheme,
     resolve_scheme,
-)
-from .selection import (
-    DominationError,
-    list_dropped_pairs,
-    select_terms,
-    selection_rows,
-    selection_step_function,
-)
-from .iteration import IterationError, _ratio, build_recurrence, fixed_point, iterate
-from .sweep import PRINT_DIGITS, _sweep
-from .verify import (
-    lcm_identity_failures,
-    verify_V_identities,
-    verify_asymptotic_A,
-    verify_final_bounds,
-    verify_psi_pi,
-    verify_selection_bounds,
 )
 
 # JSON names of result-dataclass fields that differ from the field names.
@@ -136,16 +126,16 @@ def _cmd_base_bounds(args) -> dict:
 def _cmd_select(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
-    sel = select_terms(
+    sel = selection.select_terms(
         p, args.side, args.rho, max_index=args.max_index, exclude=_parse_excludes(args.exclude)
     )
-    dropped = list_dropped_pairs(p, sel)
+    dropped = selection.list_dropped_pairs(p, sel)
     if args.csv:
-        _write_csv(args.csv, ["position", "sign", "status"], selection_rows(sel, dropped))
+        _write_csv(args.csv, ["position", "sign", "status"], selection.selection_rows(sel, dropped))
     payload = {**_fields(sel), "n_terms": sel.n_terms, "scheme": render_scheme(s)}
     payload["dropped_pairs"] = dropped  # the listing, in the count's place
     if args.check_domination:
-        payload["domination_ok"] = selection_step_function(sel, p, strict=False).ok
+        payload["domination_ok"] = selection.selection_step_function(sel, p, strict=False).ok
     return payload
 
 
@@ -154,15 +144,17 @@ def _cmd_iterate(args) -> dict:
     p = e_profile(s)
     A = constant_A(s)
     exclude = _parse_excludes(args.exclude)
-    upper = select_terms(p, "upper", args.rho, exclude=exclude)
+    upper = selection.select_terms(p, "upper", args.rho, exclude=exclude)
     s2 = resolve_scheme(args.hybrid_lower) if args.hybrid_lower else s
     p2 = p if s2 is s else e_profile(s2)
-    lower = select_terms(p2, "lower", args.rho, max_index=args.hybrid_max_index, exclude=exclude)
-    rec = build_recurrence(lower, upper, constant_A(s2), p2.n, upper_A=A)
+    lower = selection.select_terms(
+        p2, "lower", args.rho, max_index=args.hybrid_max_index, exclude=exclude
+    )
+    rec = iteration.build_recurrence(lower, upper, constant_A(s2), p2.n, upper_A=A)
     provenance = f"rho_lower={lower.rho},rho_upper={upper.rho}"
     if args.hybrid_lower:
         provenance = f"hybrid:rho_upper={upper.rho},rho_lower={lower.rho}"
-    result = fixed_point(rec)
+    result = iteration.fixed_point(rec)
     payload = {
         "scheme": render_scheme(s),
         "rho": args.rho,
@@ -170,7 +162,7 @@ def _cmd_iterate(args) -> dict:
         "beta": result.beta,
         "a": result.a_limit,
         "b": result.b_limit,
-        "ratio": _ratio(result.a_limit, result.b_limit),
+        "ratio": iteration._ratio(result.a_limit, result.b_limit),
         "eigenvalues": result.eigenvalues,
         "converges": result.converges,
         "n_lower_terms": lower.n_terms,
@@ -180,7 +172,7 @@ def _cmd_iterate(args) -> dict:
     if args.steps is not None:
         a0 = args.a0 if args.a0 is not None else A
         b0 = args.b0 if args.b0 is not None else rec.c2
-        trace = iterate(rec, a0, b0, args.steps)
+        trace = iteration.iterate(rec, a0, b0, args.steps)
         payload["trace"] = [{"i": i, "a": a, "b": b} for i, a, b in trace]
         if args.csv:
             _write_csv(args.csv, ["i", "a_i", "b_i"], trace)
@@ -190,7 +182,7 @@ def _cmd_iterate(args) -> dict:
 def _cmd_sweep(args) -> dict:
     s = resolve_scheme(args.scheme)
     window = (args.rho_min, args.rho_max, args.step)
-    rows, optimum = _sweep(s, *window, _parse_excludes(args.exclude), optimize=args.refine)
+    rows, optimum = sweep._sweep(s, *window, _parse_excludes(args.exclude), optimize=args.refine)
     table = [_fields(r) for r in rows]
     if args.csv:
         _write_csv(args.csv, list(table[0]), (row.values() for row in table))
@@ -206,28 +198,28 @@ def _cmd_verify(args) -> dict:
         rep = check_convolution_identities(limit)
         return {"name": "convolution", **_fields(rep), "passed": rep.passed}
     if args.check == "lcm":
-        failures = lcm_identity_failures(limit)
+        failures = verify.lcm_identity_failures(limit)
         return {"name": "lcm", "x_max": limit, "failures": failures, "passed": not failures}
     if args.check == "v-identity":
-        rep = verify_V_identities(resolve_scheme(args.scheme), limit)
+        rep = verify.verify_V_identities(resolve_scheme(args.scheme), limit)
     elif args.check == "selection":
         s = resolve_scheme(args.scheme)
         p = e_profile(s)
-        rep = verify_selection_bounds(
+        rep = verify.verify_selection_bounds(
             s,
-            select_terms(p, "lower", args.rho),
-            select_terms(p, "upper", args.rho),
+            selection.select_terms(p, "lower", args.rho),
+            selection.select_terms(p, "upper", args.rho),
             limit,
         )
     elif args.check == "asymptotic":
         ladder = [100 * 2**i for i in range(max(limit // 100, 0).bit_length())]  # 100 2^i <= limit
-        rep = verify_asymptotic_A(resolve_scheme(args.scheme), ladder)
+        rep = verify.verify_asymptotic_A(resolve_scheme(args.scheme), ladder)
     elif args.check == "final-bounds":
-        rep = verify_final_bounds(args.a, args.b, limit)
+        rep = verify.verify_final_bounds(args.a, args.b, limit)
     else:  # psi-pi
         tables = build_sieve(limit)  # first: it refuses a limit too large for float()
         ladder = [float(x) for x in (100, 1000, 10**4, limit) if x <= limit]
-        rep = verify_psi_pi(args.alpha, ladder, tables)
+        rep = verify.verify_psi_pi(args.alpha, ladder, tables)
     return _fields(rep)
 
 
@@ -333,14 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KNOWN_ERRORS = (SchemeError, DominationError, IterationError, CapacityError, OutOfRangeError)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = args.func(args)
-    except _KNOWN_ERRORS as exc:
+    except (
+        SchemeError,
+        selection.DominationError,
+        iteration.IterationError,
+        CapacityError,
+        OutOfRangeError,
+    ) as exc:  # read only on an error, so a command loads no layer for it
         print(f"chebsylv: error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")

@@ -21,6 +21,7 @@ import numpy as np
 
 SIEVE_CAP = 10**7
 TOL = 1e-6  # float tolerance of every check that sums a Dirichlet convolution, here and in verify
+PRINT_DIGITS = 12  # of every printed float: the CLI's, and the optimum's labels (sweep._label)
 
 # Entries per segment of build_sieve, and per block of the identity checks: the
 # segment's int32 radical (1 MB) or a block's float64 sums (2 MB) stay in cache

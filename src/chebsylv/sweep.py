@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_FLOOR, Decimal
 
 from .iteration import IterationError, _ratio, _solve
-from .kernel import CapacityError, OutOfRangeError
+from .kernel import PRINT_DIGITS, CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
 from .selection import _pair_sums, select_terms
 
@@ -28,8 +28,6 @@ MAX_GRID_POINTS = 100_000
 # is dense plateaus near the pair cap: nu8 over 1.0003-1.000365 at step 1e-6 solves 66 plateaus,
 # 995,820 pairs, in 2.6 s; both passes of an optimisation take at most twice that (x86-64 VM).
 MAX_SOLVED_PAIRS = 1_000_000
-
-PRINT_DIGITS = 12  # of every printed float: the CLI's, and the optimum's labels (_label)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from .kernel import (
     psi,
 )
 from .scheme import Scheme, EProfile, e_profile, constant_A
-from .selection import TermSelection, bound_terms
+
+if TYPE_CHECKING:
+    from .selection import TermSelection
 
 # Entries of x per block of the selection-bound scan: each block buffer is
 # 512 KB of float64, which stays in cache.
@@ -121,6 +124,8 @@ def verify_selection_bounds(
     2.0}, against TOL = 1e-6: 1.2e-14 at each x_max from 10^4 to 10^7
     (x86-64, numpy 2.4).
     """
+    from .selection import bound_terms  # here alone: the other checks need no selection
+
     tables = _sieve_for(x_max, tables)
     lower_terms = bound_terms(lower)
     upper_terms = [(k, -c) for k, c in bound_terms(upper)]
