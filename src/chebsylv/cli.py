@@ -107,13 +107,11 @@ def _cmd_eprofile(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     if args.csv:
-        _write_csv(
-            args.csv, ["x", "E"], ((x, int(p.values[x - 1])) for x in range(1, p.period + 1))
-        )
+        _write_csv(args.csv, ["x", "E"], enumerate(p.values.tolist(), 1))
     return {
         "scheme": render_scheme(s),
         **_profile_header(p),
-        "first_occurrence": dict(sorted(p.first_occurrence.items())),
+        "first_occurrence": p.first_occurrence,  # in level order, as np.unique gives them
         "values": p.values.tolist(),
     }
 
@@ -140,6 +138,9 @@ def _cmd_select(args) -> dict:
 
 
 def _cmd_iterate(args) -> dict:
+    for name in ("a0", "b0", "csv"):  # each sets up or writes the trace
+        if getattr(args, name) is not None and args.steps is None:
+            raise OutOfRangeError(f"--{name} needs --steps")
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     A = constant_A(s)
@@ -331,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         payload = args.func(args)
     except (
         SchemeError,
-        selection.DominationError,
         iteration.IterationError,
         CapacityError,
         OutOfRangeError,

@@ -75,14 +75,13 @@ def _table(
         sums = [list(_pair_sums(pairs[i:], us)) for i, (pairs, _, us, _) in zip(starts, sides)]
         solved = None
         for rho, firsts in zip(rhos, plateaus):
-            if firsts != starts:  # the pairs of ratio below rho drop out
+            if solved is None or firsts != starts:  # a new plateau: pairs of ratio < rho drop out
                 for k, (i, j) in enumerate(zip(starts, firsts)):
                     if j > i:
                         sums[k] = [x - d for x, d in zip(sums[k], _pair_sums(sides[k][0][i:j]))]
-                starts, solved = firsts, None
-            if solved is None:  # a new plateau: M = [[up_a, -up_b], [-k lo_a, k lo_b]]
+                starts = firsts
                 (lo_a, lo_b), (up_a, up_b) = ([x.as_integer_ratio() for x in xs] for xs in sums)
-                m12 = -up_b[0], up_b[1]
+                m12 = -up_b[0], up_b[1]  # M = [[up_a, -up_b], [-k lo_a, k lo_b]]
                 m21, m22 = (-n * lo_a[0], (n - 1) * lo_a[1]), (n * lo_b[0], (n - 1) * lo_b[1])
                 _, (a, b, eigs, converges) = _solve(up_a, m12, m21, m22, (n, n - 1), A, A)
                 # a complex-conjugate pair is reported by its modulus

@@ -141,6 +141,27 @@ def test_select_with_exclude_and_csv(capsys, tmp_path):
     assert statuses <= {"leading", "kept", "dropped", "standalone"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "iterate nu4 --rho 1.5 --a0 0.9",
+        "iterate nu4 --rho 1.5 --b0 1.1",
+        "iterate nu4 --rho 1.5 --csv trace.csv",
+    ],
+)
+def test_iterate_trace_options_need_steps(capsys, tmp_path, monkeypatch, argv):
+    # refused before any selection, and no CSV written
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selected before the options were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("chebsylv.selection.select_terms", no_selection)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"chebsylv: error: {argv.split()[-2]} needs --steps\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_select_bad_exclude(capsys):
     code, _, err = run_cli(
         capsys, "select", "nu6", "--rho", "1.1", "--side", "lower", "--exclude", "x"
@@ -276,6 +297,16 @@ def test_list_schemes(capsys):
     assert names == {"cheb", "nu1", "nu2", "nu3", "nu4", "nu5", "nu6", "nu7", "nu8"}
     nu4 = next(e for e in data["schemes"] if e["name"] == "nu4")
     assert "caveat" in nu4
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[]", "empty scheme text"), ("[;]", "empty scheme text"), ("1:1,1:-1", "scheme has no terms")],
+)
+def test_analyze_refuses_a_scheme_with_no_terms(capsys, text, message):
+    code, out, err = run_cli(capsys, "analyze", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("chebsylv: error:") and message in err
 
 
 def test_unknown_scheme_name(capsys):

@@ -323,6 +323,17 @@ def test_lcm_identity_all_small_x():
     assert all(lcm_identity_check(x) for x in range(1, 51))
 
 
+def test_lcm_identity_failures_lists_a_missing_prime(monkeypatch):
+    # with 2 dropped from the primes the product misses its factor at x = 2 onwards
+    def sieve_without_2(x_max):
+        tables = build_sieve(x_max)
+        return dataclasses.replace(tables, primes=tables.primes[1:])
+
+    monkeypatch.setattr("chebsylv.verify.build_sieve", sieve_without_2)
+    failures = lcm_identity_failures(50)
+    assert failures[0] == 2
+
+
 def brute_lcm_identity(x: int) -> bool:
     """Independent per-x check: trial-divided primes, lcm(1..x) from scratch."""
     prod = 1

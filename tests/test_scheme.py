@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from chebsylv import (
     BUILTINS,
     CapacityError,
+    Scheme,
     SchemeError,
     base_bounds,
     cancellation_check,
@@ -65,6 +67,11 @@ def test_parse_rejects_bad_input():
         parse_scheme("garbage")
     with pytest.raises(SchemeError):
         parse_scheme("")
+
+
+def test_scheme_refuses_indices_out_of_order():
+    with pytest.raises(SchemeError, match="indices must be unique and increasing"):
+        Scheme(((2, 1), (1, 1)))
 
 
 def test_round_trip_every_builtin():
@@ -188,6 +195,12 @@ def test_base_bounds_factors(profiles):
     bb6 = base_bounds(BUILTINS["nu6"], profiles["nu6"])
     assert bb6.a_prime_factor == Fraction(107, 117)
     assert bb6.b_factor == Fraction(10, 9)
+
+
+def test_base_bounds_refuses_n_below_2(profiles):
+    # no profile from e_profile has N < 2 (E(1) = 1), so one is made by hand
+    with pytest.raises(SchemeError, match="N < 2"):
+        base_bounds(BUILTINS["nu4"], dataclasses.replace(profiles["nu4"], n=1))
 
 
 def test_base_bounds_no_lower_when_e_max_large(profiles):
