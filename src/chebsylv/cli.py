@@ -155,17 +155,10 @@ def _cmd_iterate(args) -> dict:
     provenance = f"rho_lower={lower.rho},rho_upper={upper.rho}"
     if args.hybrid_lower:
         provenance = f"hybrid:rho_upper={upper.rho},rho_lower={lower.rho}"
-    result = iteration.fixed_point(rec)
     payload = {
         "scheme": render_scheme(s),
         "rho": args.rho,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        "a": result.a_limit,
-        "b": result.b_limit,
-        "ratio": iteration._ratio(result.a_limit, result.b_limit),
-        "eigenvalues": result.eigenvalues,
-        "converges": result.converges,
+        **_fields(iteration.fixed_point(rec)),
         "n_lower_terms": lower.n_terms,
         "n_upper_terms": upper.n_terms,
         "provenance": provenance,
@@ -335,6 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         iteration.IterationError,
         CapacityError,
         OutOfRangeError,
+        OSError,  # a --csv path that cannot be opened for writing
     ) as exc:  # read only on an error, so a command loads no layer for it
         print(f"chebsylv: error: {exc}", file=sys.stderr)
         return 2

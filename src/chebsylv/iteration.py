@@ -49,11 +49,12 @@ class AffineRecurrence:
 
 
 @dataclass(frozen=True)
-class IterationResult:
+class IterationResult:  # alpha, beta, then _solve's float view in its order
     alpha: Fraction | None
     beta: Fraction | None
     a_limit: float
     b_limit: float
+    ratio: float
     eigenvalues: tuple[complex, complex]
     converges: bool
 
@@ -98,10 +99,10 @@ def _solve(m11, m12, m21, m22, k, upper_A: float, lower_A: float):
     tr M = tr/qq, det M = det_m/qq and det(I - M) = det/qq.
 
     Returns (x, y, den), with den > 0 and (x/den, y/den) the exact fixed point in units
-    of A when upper_A == lower_A, and the float view: a, b, the eigenvalues of M and the
-    exact real 2x2 stability verdict |det M| < 1 and |tr M| < 1 + det M. Each float
-    is one int / int true division, which CPython rounds correctly, as
-    float(Fraction) does, so that no fraction need be reduced.
+    of A when upper_A == lower_A, and the float view: a, b, Sylvester's ratio b / a (inf
+    at a = 0), the eigenvalues of M and the exact real 2x2 stability verdict |det M| < 1
+    and |tr M| < 1 + det M. a and b are each one int / int true division, which CPython
+    rounds correctly, as float(Fraction) does, so that no fraction need be reduced.
     """
     (p11, q11), (p12, q12), (p21, q21), (p22, q22), (kn, kd) = m11, m12, m21, m22, k
     q_up, q_lo = math.lcm(q11, q12), math.lcm(q21, q22)
@@ -129,34 +130,25 @@ def _solve(m11, m12, m21, m22, k, upper_A: float, lower_A: float):
         det, x, y = -det, -x, -y
     den = kd * det
     a, b = (z / (den * w) * scale for z in (x, y))
-    return (x, y, den), (a, b, ((t - root) / 2, (t + root) / 2), stable)
+    ratio = b / a if a else math.inf
+    return (x, y, den), (a, b, ratio, ((t - root) / 2, (t + root) / 2), stable)
 
 
 def fixed_point(rec: AffineRecurrence) -> IterationResult:
     """Solve (I - M)(a, b) = (upper_A, k lower_A) exactly.
 
-    a and b come out as exact rational combinations of upper_A and lower_A.
-    When the two are equal, alpha and beta are the exact limits in units of A;
-    otherwise they are None and only the float limits are reported.
+    a and b come out as exact rational combinations of upper_A and lower_A, and
+    ratio is Sylvester's b / a, inf at a = 0. When the two are equal, alpha and
+    beta are the exact limits in units of A; otherwise they are None and only the
+    floats are reported.
     """
     entries = (rec.m11, rec.m12, rec.m21, rec.m22, rec.k)
-    (x, y, den), (a, b, eigs, stable) = _solve(
+    (x, y, den), floats = _solve(
         *(e.as_integer_ratio() for e in entries), rec.upper_A, rec.lower_A
     )
-    exact = rec.upper_A == rec.lower_A
-    return IterationResult(
-        alpha=Fraction(x, den) if exact else None,
-        beta=Fraction(y, den) if exact else None,
-        a_limit=a,
-        b_limit=b,
-        eigenvalues=eigs,
-        converges=stable,
-    )
-
-
-def _ratio(a: float, b: float) -> float:
-    """Sylvester's ratio b / a of the limits, inf at a = 0."""
-    return b / a if a else math.inf
+    if rec.upper_A != rec.lower_A:
+        return IterationResult(None, None, *floats)
+    return IterationResult(Fraction(x, den), Fraction(y, den), *floats)
 
 
 def iterate(

@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from decimal import ROUND_FLOOR, Decimal
 
-from .iteration import IterationError, _ratio, _solve
+from .iteration import IterationError, _solve
 from .kernel import PRINT_DIGITS, CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
 from .selection import _pair_sums, select_terms
@@ -83,11 +83,11 @@ def _table(
                 (lo_a, lo_b), (up_a, up_b) = ([x.as_integer_ratio() for x in xs] for xs in sums)
                 m12 = -up_b[0], up_b[1]  # M = [[up_a, -up_b], [-k lo_a, k lo_b]]
                 m21, m22 = (-n * lo_a[0], (n - 1) * lo_a[1]), (n * lo_b[0], (n - 1) * lo_b[1])
-                _, (a, b, eigs, converges) = _solve(up_a, m12, m21, m22, (n, n - 1), A, A)
+                _, (a, b, ratio, eigs, converges) = _solve(up_a, m12, m21, m22, (n, n - 1), A, A)
                 # a complex-conjugate pair is reported by its modulus
                 lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in eigs)
                 counts = (base + 2 * (len(p) - i) for i, (p, _, _, base) in zip(starts, sides))
-                solved = (a, b, _ratio(a, b), lam1, lam2, *counts, converges)
+                solved = (a, b, ratio, lam1, lam2, *counts, converges)
             yield SweepRow(rho, *solved)
 
     return sorted(r for _, ratios, _, _ in sides for r in ratios) + [math.inf], rows

@@ -65,6 +65,7 @@ def fraction_fixed_point(rec: AffineRecurrence) -> IterationResult:
         beta=beta,
         a_limit=a_limit,
         b_limit=b_limit,
+        ratio=b_limit / a_limit if a_limit else math.inf,
         eigenvalues=((t - root) / 2, (t + root) / 2),
         converges=abs(det_m) < 1 and abs(tr) < 1 + det_m,
     )

@@ -162,6 +162,23 @@ def test_iterate_trace_options_need_steps(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eprofile nu4",
+        "select nu4 --rho 1.3 --side lower",
+        "iterate nu4 --rho 1.5 --steps 3",
+        "sweep nu4 --rho-min 1.2 --rho-max 1.4 --step 0.1",
+    ],
+)
+def test_csv_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, *argv.split(), "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("chebsylv: error:") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_select_bad_exclude(capsys):
     code, _, err = run_cli(
         capsys, "select", "nu6", "--rho", "1.1", "--side", "lower", "--exclude", "x"

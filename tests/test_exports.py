@@ -84,6 +84,21 @@ def test_benchmark_reads_only_sieve_table_fields():
     assert sorted(n for n in names if n not in fields and not hasattr(SieveTables, n)) == []
 
 
+def test_cli_reads_no_private_name_of_a_layer_but_the_sweep():
+    # the CLI calls each layer through its public names, except the sweep's
+    # one-pass grid and optimum
+    tree = ast.parse((ROOT / "src" / "chebsylv" / "cli.py").read_text())
+    private = {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in EXPORTS
+        and node.attr.startswith("_")
+    }
+    assert private == {"sweep._sweep"}
+
+
 def _library_layers() -> list[str]:
     """benchmark/spans.py's LIBRARY_LAYERS, read without importing it."""
     tree = ast.parse(SPANS.read_text())

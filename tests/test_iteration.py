@@ -11,8 +11,10 @@ from chebsylv import (
     OutOfRangeError,
     build_recurrence,
     constant_A,
+    e_profile,
     fixed_point,
     iterate,
+    parse_scheme,
     select_terms,
 )
 from chebsylv.iteration import MAX_STEPS, AffineRecurrence
@@ -109,6 +111,16 @@ def test_true_hybrid_has_no_exact_rationals(profiles):
     result = fixed_point(rec)
     assert result.alpha is None and result.beta is None
     assert 0.9 < result.a_limit < result.b_limit < 1.1
+    assert result.ratio == result.b_limit / result.a_limit
+
+
+def test_ratio_is_inf_where_a_is_zero():
+    s = parse_scheme("1:1,2:-2,11:1,22:-2")
+    p = e_profile(s)
+    lower, upper = (select_terms(p, side, 1.5) for side in ("lower", "upper"))
+    result = fixed_point(build_recurrence(lower, upper, constant_A(s), p.n))
+    assert result.a_limit == 0 and result.b_limit > 0
+    assert result.ratio == math.inf
 
 
 def test_side_mismatch_rejected(profiles):

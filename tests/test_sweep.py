@@ -12,6 +12,7 @@ from chebsylv import (
     build_recurrence,
     constant_A,
     e_profile,
+    fixed_point,
     optimize_rho,
     select_terms,
     sweep_rho,
@@ -45,11 +46,12 @@ def _assert_rows_exact(s, p, rows, exclude=()):
     for row in rows:
         lower = select_terms(p, "lower", row.rho, exclude=exclude)
         upper = select_terms(p, "upper", row.rho, exclude=exclude)
-        exact = fraction_fixed_point(build_recurrence(lower, upper, a_const, p.n))
+        rec = build_recurrence(lower, upper, a_const, p.n)
+        exact = fraction_fixed_point(rec)
         lam1, lam2 = (abs(e) if isinstance(e, complex) else e for e in exact.eigenvalues)
-        ratio = exact.b_limit / exact.a_limit if exact.a_limit else math.inf
-        floats = (exact.a_limit, exact.b_limit, ratio, lam1, lam2)
+        floats = (exact.a_limit, exact.b_limit, exact.ratio, lam1, lam2)
         assert (row.a_limit, row.b_limit, row.ratio, row.lambda1, row.lambda2) == floats
+        assert row.ratio == fixed_point(rec).ratio
         assert row.converges == exact.converges
         assert (row.n_lower_terms, row.n_upper_terms) == (lower.n_terms, upper.n_terms)
 
