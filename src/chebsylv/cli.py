@@ -77,15 +77,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_excludes(items: list[str] | None) -> tuple[tuple[int, int], ...]:
-    out = []
-    for item in items or []:
-        try:
-            m, n = (int(v) for v in item.split(","))
-        except ValueError:
-            raise SchemeError(f"--exclude expects 'm,n', got {item!r}") from None
-        out.append((m, n))
-    return tuple(out)
+def _exclude_pair(text: str) -> tuple[int, int]:
+    try:
+        m, n = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects 'm,n', got {text!r}") from None
+    return m, n
 
 
 def _profile_header(p) -> dict:
@@ -125,7 +122,7 @@ def _cmd_select(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     sel = selection.select_terms(
-        p, args.side, args.rho, max_index=args.max_index, exclude=_parse_excludes(args.exclude)
+        p, args.side, args.rho, max_index=args.max_index, exclude=args.exclude or ()
     )
     dropped = selection.list_dropped_pairs(p, sel)
     if args.csv:
@@ -144,7 +141,7 @@ def _cmd_iterate(args) -> dict:
     s = resolve_scheme(args.scheme)
     p = e_profile(s)
     A = constant_A(s)
-    exclude = _parse_excludes(args.exclude)
+    exclude = args.exclude or ()
     upper = selection.select_terms(p, "upper", args.rho, exclude=exclude)
     s2 = resolve_scheme(args.hybrid_lower) if args.hybrid_lower else s
     p2 = p if s2 is s else e_profile(s2)
@@ -176,7 +173,7 @@ def _cmd_iterate(args) -> dict:
 def _cmd_sweep(args) -> dict:
     s = resolve_scheme(args.scheme)
     window = (args.rho_min, args.rho_max, args.step)
-    rows, optimum = sweep._sweep(s, *window, _parse_excludes(args.exclude), optimize=args.refine)
+    rows, optimum = sweep._sweep(s, *window, args.exclude or (), optimize=args.refine)
     table = [_fields(r) for r in rows]
     if args.csv:
         _write_csv(args.csv, list(table[0]), (row.values() for row in table))
@@ -240,7 +237,7 @@ def _cmd_list_schemes(args) -> dict:
 # Options that several subcommands share: (name or flag, add_argument keywords).
 _SCHEME = ("scheme", {})
 _RHO = ("--rho", {"type": float, "required": True})
-_EXCLUDE = ("--exclude", {"action": "append", "metavar": "m,n"})
+_EXCLUDE = ("--exclude", {"type": _exclude_pair, "action": "append", "metavar": "m,n"})
 _CSV = ("--csv", {"metavar": "PATH"})
 
 # (name, handler, help, options) of every subcommand, in the order --help lists them.

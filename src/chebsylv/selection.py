@@ -71,8 +71,7 @@ class TermSelection:
     @property
     def n_terms(self) -> int:
         """psi-term count of the induced bound (leading block included)."""
-        base = 2 if self.side == "lower" else 1
-        return base + 2 * len(self.kept_pairs) + len(self.standalones)
+        return len(bound_terms(self))
 
 
 @dataclass(frozen=True, eq=False)

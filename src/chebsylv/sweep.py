@@ -19,7 +19,7 @@ from decimal import ROUND_FLOOR, Decimal
 from .iteration import IterationError, _solve
 from .kernel import PRINT_DIGITS, CapacityError, OutOfRangeError
 from .scheme import Scheme, constant_A, e_profile
-from .selection import _pair_sums, select_terms
+from .selection import _pair_sums, _simplest_fraction, select_terms
 
 # Grid points per sweep or optimisation; 10^5 rows of nu8 from 1.02 to 2.0 take about 0.3 s.
 MAX_GRID_POINTS = 100_000
@@ -132,10 +132,11 @@ def _sweep(
     """The grid rows, and with optimize the optimum searched around them."""
     if not (1 < rho_min < rho_max < math.inf and 0 < step < math.inf):
         raise OutOfRangeError("require 1 < rho_min < rho_max and 0 < step, all finite")
-    span = (rho_max - rho_min) / step + 1e-9  # may overflow to inf
-    if span >= MAX_GRID_POINTS:
-        raise CapacityError(f"{span + 1:.3g} grid points, over the cap of {MAX_GRID_POINTS}")
-    grid = [rho_min + i * step for i in range(int(span) + 1)]
+    # on the fractions _select reads: 1.35 to 1.3500002 at 2e-8 is 11 points, not the float's 10
+    span = (_simplest_fraction(rho_max) - _simplest_fraction(rho_min)) / _simplest_fraction(step)
+    if (points := math.floor(span) + 1) > MAX_GRID_POINTS:
+        raise CapacityError(f"{Decimal(points):.3g} grid points, over the cap of {MAX_GRID_POINTS}")
+    grid = [rho_min + i * step for i in range(points)]
     ratios, rows = _table(s, rho_min, exclude)
     grid_rows = list(rows(grid))
     if not optimize:

@@ -86,6 +86,8 @@ def verify_V_identities(
     tables = _sieve_for(x_max, tables)
     if profile is None:
         profile = e_profile(s)
+    if profile.values[-1]:  # e_profile pins it to 0; no profile of a scheme has another
+        raise OutOfRangeError(f"E(P) = {profile.values[-1]}, not 0: not a periodic E-profile")
     # dE(m), m = 1..P, repeats with period P since E(P) = E(0) = 0; a tile of
     # it holds every slice of a block
     period = profile.period
@@ -94,12 +96,9 @@ def verify_V_identities(
     de = _Slices(lambda a, b: tile[(a - 1) % period :][: b - a])
     lam_de = _dirichlet_sum(tables.lam, de, x_max)
     logs = _block_logs(x_max)
-    wrap = int(profile.values[-1])  # E(P), 0 for every profile e_profile makes
 
     def dev(buf: np.ndarray, lo: int):  # (nu*ln - Lambda*dE)(n)
         lam_de(buf, lo)
-        if wrap:  # dE(1) is E(1) - E(0), not the tile's E(1) - E(P)
-            _add_multiples(buf, lo, [(1, wrap)], tables.lam)
         return (_add_multiples(np.negative(buf, out=buf), lo, s.terms, logs),)
 
     return _running_report(f"V-identities[{s.name or 'scheme'}]", x_max, _SEGMENT, dev)

@@ -180,11 +180,26 @@ def test_csv_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
 
 
 def test_select_bad_exclude(capsys):
-    code, _, err = run_cli(
-        capsys, "select", "nu6", "--rho", "1.1", "--side", "lower", "--exclude", "x"
-    )
-    assert code == 2
-    assert "exclude" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "nu6", "--rho", "1.1", "--side", "lower", "--exclude", "x"])
+    assert exc.value.code == 2
+    assert "exclude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", ["select nu6 --rho 1.1 --side lower", "iterate nu6 --rho 1.1", "sweep nu6"]
+)
+def test_bad_exclude_exits_from_the_parser(capsys, monkeypatch, argv):
+    def unread(name):
+        raise AssertionError(f"scheme {name} read before --exclude")
+
+    monkeypatch.setattr("chebsylv.cli.resolve_scheme", unread)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--exclude", "3,5", "--exclude", "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "argument --exclude: expects 'm,n', got 'x'" in err
 
 
 def test_sweep_csv_and_refine(capsys, tmp_path):

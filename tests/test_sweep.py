@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from dataclasses import replace
@@ -17,6 +18,7 @@ from chebsylv import (
     select_terms,
     sweep_rho,
 )
+from chebsylv.cli import main
 from chebsylv.selection import _simplest_fraction
 from chebsylv.sweep import MAX_GRID_POINTS, SweepRow, _label, _self_consistent, _table
 from oracles import fraction_fixed_point, optimize_windows, plateau_walk
@@ -227,12 +229,27 @@ def test_sweep_grid_point_cap():
     # 4e299 points: refused from the count, before any list is built
     with pytest.raises(CapacityError, match="grid points"):
         sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 1e-300)
-    with pytest.raises(CapacityError):  # the point count overflows to inf
+    with pytest.raises(CapacityError):  # a point count far past any float
         sweep_rho(BUILTINS["nu4"], 1.1, 1e308, 1e-300)
-    with pytest.raises(CapacityError):
-        optimize_rho(BUILTINS["nu4"], 1.1, 1.5, 0.4 / MAX_GRID_POINTS)
-    rows = sweep_rho(BUILTINS["nu4"], 1.1, 1.5, 0.4 / (MAX_GRID_POINTS - 1))
+    # (1.5 - 1.1) / 0.000004 is exactly 10^5 steps, so 10^5 + 1 points
+    with pytest.raises(CapacityError, match="grid points"):
+        optimize_rho(BUILTINS["nu4"], 1.1, 1.5, 0.000004)
+    rows = sweep_rho(BUILTINS["nu4"], 1.1, 1.499996, 0.000004)
     assert len(rows) == MAX_GRID_POINTS
+
+
+def test_fine_decimal_grid_reaches_rho_max(capsys):
+    # the float quotient (rho_max - rho_min) / step is 9.99999999..., one step short
+    nu4 = BUILTINS["nu4"]
+    assert (1.3500002 - 1.35) / 2e-8 < 10 - 1e-9
+    rows = sweep_rho(nu4, 1.35, 1.3500002, 2e-8)
+    assert len(rows) == 11
+    assert rows[-1].rho == pytest.approx(1.3500002, rel=1e-15)
+    argv = "sweep nu4 --rho-min 1.35 --rho-max 1.3500002 --step 2e-8"
+    assert main(argv.split()) == 0
+    printed = json.loads(capsys.readouterr().out)["rows"]
+    assert len(printed) == 11
+    assert printed[-1]["rho"] == 1.3500002
 
 
 def test_sweep_solve_budget(monkeypatch):
