@@ -1,15 +1,16 @@
 """Sieve tables and summatory functions: Lambda, mu, psi, pi.
 
 Everything here is a desk-scale exact oracle: a segmented Eratosthenes sieve
-up to ``limit`` whose Python loop runs, segment by segment, only over the
-primes p <= sqrt(limit). psi is kept as the step function it is, at the prime
-powers alone, next to the list of primes, so that psi and pi queries are each
-one binary search, O(log pi(limit)), afterwards, and a check on psi itself
-can read it at the steps alone. Every check of a Dirichlet sum is one pass
-over x in blocks: each block gets its sums from strided adds (_add_multiples,
-split at sqrt(limit) by _dirichlet_sum), and _running_peak carries the
-running sums from block to block, so a check costs O(limit log limit) and a
-few block buffers beyond the tables.
+of the odd n <= ``limit``, whose Python loop runs, segment by segment, only
+over the odd primes p <= sqrt(limit); mu(2m) = -mu(m) fills the even n. psi is
+kept as the step function it is, at the prime powers alone, next to the list
+of primes, so that psi and pi queries are each one binary search,
+O(log pi(limit)), afterwards, and a check on psi itself can read it at the
+steps alone. Every check of a Dirichlet sum is one pass over x in blocks: each
+block gets its sums from strided adds (_add_multiples, split at sqrt(limit) by
+_dirichlet_sum), and _running_peak carries the running sums from block to
+block, so a check costs O(limit log limit) and a few block buffers beyond the
+tables.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ TOL = 1e-6  # float tolerance of every check that sums a Dirichlet convolution, 
 PRINT_DIGITS = 12  # of every printed float: the CLI's, and the optimum's labels (sweep._label)
 
 # Entries per segment of build_sieve, and per block of the identity checks: the
-# segment's int32 radical (1 MB) or a block's float64 sums (2 MB) stay in cache
-# while every small prime or term strides them.
+# int32 r(n) of the segment's odd n (512 KB) or a block's float64 sums (2 MB)
+# stay in cache while every small prime or term strides them.
 _SEGMENT = 1 << 18
 # long double is the x87 80-bit format, with 11 more fraction bits than float64
 _EXTENDED = np.finfo(np.longdouble).nmant == 63
@@ -59,33 +60,44 @@ class SieveTables:
     psi_at_powers: np.ndarray
 
 
-def _sieve_segment(lo: int, small_primes: np.ndarray, moebius: np.ndarray) -> np.ndarray:
-    """Fill moebius, the table's slice for n = lo .. lo + len - 1, from r(n),
-    the product of -p over the primes p <= sqrt(limit) dividing n, and return
-    the segment's primes > sqrt(limit).
+def _sieve_segment(lo: int, odd_primes: np.ndarray, moebius: np.ndarray) -> np.ndarray:
+    """Fill moebius[lo:], the table's segment for n = lo .. len - 1, and
+    return the segment's odd primes > sqrt(limit).
 
-    Every composite n <= limit has such a p, so n > sqrt(limit) is prime iff
-    r(n) = 1, which holds for no n <= sqrt(limit) but 0 and 1. A squarefree n
-    has mu(n) = sign r(n) when |r(n)| = n, and -sign r(n) when it also has one
-    prime factor > sqrt(limit); the squares p^2 then zero mu.
+    The odd n = lo + 1 + 2i come first, from r(n) at index i: the product of
+    -p over the odd primes p <= sqrt(limit) dividing n. Every odd composite
+    n <= limit has such a p, so an odd n > sqrt(limit) is prime iff r(n) = 1,
+    which holds for no odd n <= sqrt(limit) but 1. A squarefree odd n has
+    mu(n) = sign r(n) when |r(n)| = n, and -sign r(n) when it also has one
+    prime factor > sqrt(limit); the odd squares p^2 then zero mu. Each even
+    n = 2m then takes mu(2m) = -mu(m) for odd m and 0 for even m: m < n, so
+    mu(m) is filled by then, in the first segment from its odd half.
     """
-    rad = np.ones(len(moebius), dtype=np.int32)
-    # the first multiple of p at or after lo, skipping n = 0
-    starts = small_primes if lo == 0 else (-lo) % small_primes
-    for p, start in zip(small_primes.tolist(), starts.tolist()):
+    seg = moebius[lo:]
+    n = np.arange(lo + 1, lo + len(seg), 2, dtype=np.int32)  # the odd n
+    rad = np.ones_like(n)
+
+    def first(d: np.ndarray) -> np.ndarray:
+        # the i of each odd d's first multiple: lo + 1 + 2i = d (mod d), lo even
+        return d // 2 if lo == 0 else (d // 2 - lo // 2) % d
+
+    for p, start in zip(odd_primes.tolist(), first(odd_primes).tolist()):
         rad[start::p] *= -p
-    first = max(lo, 2)
-    primes = np.flatnonzero(rad[first - lo :] == 1) + first
+    primes = 2 * (rad == 1).nonzero()[0] + (lo + 1)
     negative = rad < 0
-    np.abs(rad, out=rad)
-    rad -= np.arange(lo, lo + len(rad), dtype=np.int32)  # 0 iff |r(n)| = n
-    negative ^= rad != 0
-    np.subtract(1, 2 * negative.view(np.int8), out=moebius)
-    squares = small_primes * small_primes
-    for q, start in zip(squares.tolist(), ((-lo) % squares).tolist()):
-        if start < len(rad):
-            moebius[start::q] = 0
-    return primes
+    negative ^= np.abs(rad, out=rad) != n  # a prime factor > sqrt(limit)
+    odd = seg[1::2]
+    np.subtract(1, 2 * negative.view(np.int8), out=odd)
+    squares = odd_primes * odd_primes
+    starts = first(squares)
+    # a square >= len(odd) strikes at most one entry: all of them in one store
+    big = int(squares.searchsorted(len(odd)))
+    for q, start in zip(squares[:big].tolist(), starts[:big].tolist()):
+        odd[start::q] = 0
+    odd[starts[big:][starts[big:] < len(odd)]] = 0
+    np.negative(moebius[lo // 2 : (lo + len(seg) + 1) // 2], out=seg[::2])
+    seg[::4] = 0  # the n = 2m with m even, as lo is a multiple of 4
+    return primes[1:] if lo == 0 else primes  # n = 1 is no prime
 
 
 def _log_primes(primes: np.ndarray) -> np.ndarray:
@@ -119,15 +131,16 @@ def _log_primes(primes: np.ndarray) -> np.ndarray:
 def build_sieve(limit: int) -> SieveTables:
     """Sieve Lambda, mu and the primes up to limit; attach psi at the prime powers.
 
-    The primes p <= sqrt(limit) come from a small sieve; every segment of
-    _SEGMENT entries is then sieved by them in turn (_sieve_segment).
+    The primes p <= sqrt(limit), and 2 at every limit >= 2, come from a small
+    sieve; in each segment of _SEGMENT entries in turn the odd ones sieve the
+    odd n, and the even n take mu(2m) = -mu(m) (_sieve_segment).
     """
     if limit < 1:
         raise CapacityError("sieve limit must be >= 1")
     if limit > SIEVE_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
 
-    root = math.isqrt(limit)
+    root = max(math.isqrt(limit), min(limit, 2))  # 2 too: the segments sieve no even n
     small = np.ones(root + 1, dtype=bool)
     small[:2] = False
     for p in range(2, math.isqrt(root) + 1):
@@ -147,10 +160,9 @@ def build_sieve(limit: int) -> SieveTables:
             powers.append(pk)
             pk *= p
     for lo in range(0, limit + 1, _SEGMENT):
-        primes = _sieve_segment(lo, small_primes, moebius[lo : lo + _SEGMENT])
+        primes = _sieve_segment(lo, small_primes[1:], moebius[: lo + _SEGMENT])
         lam[primes] = _log_primes(primes)
         found.append(primes)
-    moebius[0] = 0
     primes = np.concatenate(found)
     del found
 

@@ -111,6 +111,21 @@ def test_sieve_bit_identical_to_loop_sieve(limit):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+# Every limit up to 300 ends the sieve on each parity and on each small
+# prime's square; around 2 and 3 segments, the even n of the last segment
+# read mu(n/2) from an earlier one, and the last segment may hold only
+# n = lo, or n = lo and lo + 1.
+@pytest.mark.parametrize("extended", [kernel._EXTENDED, False])
+def test_odd_only_sieve_edges(extended, monkeypatch):
+    monkeypatch.setattr(kernel, "_EXTENDED", extended)
+    edges = [k * _SEGMENT + d for k in (2, 3) for d in (-1, 0, 1, 2)]
+    for limit in list(range(1, 301)) + edges:
+        got, ref = build_sieve(limit), loop_sieve(limit)
+        for name in ("lam", "moebius", "primes", "prime_powers", "psi_at_powers"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (limit, name)
+
+
 def counted_math_log(monkeypatch) -> list[int]:
     """Patch math.log to count its calls; returns the one-entry counter."""
     calls, log = [0], math.log
