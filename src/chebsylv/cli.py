@@ -20,7 +20,6 @@ from .kernel import (
     PRINT_DIGITS,
     CapacityError,
     OutOfRangeError,
-    build_sieve,
     check_convolution_identities,
 )
 from .scheme import (
@@ -208,9 +207,8 @@ def _cmd_verify(args) -> dict:
     elif args.check == "final-bounds":
         rep = verify.verify_final_bounds(args.a, args.b, limit)
     else:  # psi-pi
-        tables = build_sieve(limit)  # first: it refuses a limit too large for float()
-        ladder = [float(x) for x in (100, 1000, 10**4, limit) if x <= limit]
-        rep = verify.verify_psi_pi(args.alpha, ladder, tables)
+        ladder = [x for x in (100, 1000, 10**4, limit) if x <= limit]
+        rep = verify.verify_psi_pi(args.alpha, ladder)
     return _fields(rep)
 
 

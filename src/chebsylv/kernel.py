@@ -33,7 +33,7 @@ _EXTENDED = np.finfo(np.longdouble).nmant == 63
 
 
 class CapacityError(ValueError):
-    """Requested limit is zero or exceeds the configured memory cap."""
+    """Requested size exceeds its configured cap."""
 
 
 class OutOfRangeError(ValueError):
@@ -79,7 +79,7 @@ def _sieve_segment(lo: int, odd_primes: np.ndarray, moebius: np.ndarray) -> np.n
 
     def first(d: np.ndarray) -> np.ndarray:
         # the i of each odd d's first multiple: lo + 1 + 2i = d (mod d), lo even
-        return d // 2 if lo == 0 else (d // 2 - lo // 2) % d
+        return (d // 2 - lo // 2) % d
 
     for p, start in zip(odd_primes.tolist(), first(odd_primes).tolist()):
         rad[start::p] *= -p
@@ -136,7 +136,7 @@ def build_sieve(limit: int) -> SieveTables:
     odd n, and the even n take mu(2m) = -mu(m) (_sieve_segment).
     """
     if limit < 1:
-        raise CapacityError("sieve limit must be >= 1")
+        raise OutOfRangeError("sieve limit must be >= 1")
     if limit > SIEVE_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
 

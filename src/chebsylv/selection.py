@@ -112,7 +112,7 @@ def pair_pattern(profile: EProfile, side: str) -> PairPattern:
     a standalone.
     """
     if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise OutOfRangeError(f"side must be 'lower' or 'upper', got {side!r}")
     period, lower, values = profile.period, side == "lower", profile.values
     jump = np.empty_like(values)
     jump[0] = values[0]
@@ -354,11 +354,8 @@ def selection_rows(
 ) -> list[tuple[int, int, str]]:
     """(position, sign, status) rows for CSV export; dropped is the listing
     of list_dropped_pairs."""
-    lead = 2 if sel.side == "lower" else 1
-    status = (
-        ["leading"] * lead + ["kept"] * (2 * len(sel.kept_pairs))
-        + ["standalone"] * len(sel.standalones)
-    )
-    rows = [(k, sign, st) for (k, sign), st in zip(bound_terms(sel), status)]
+    terms, kept, alone = bound_terms(sel), 2 * len(sel.kept_pairs), len(sel.standalones)
+    status = ["leading"] * (len(terms) - kept - alone) + ["kept"] * kept + ["standalone"] * alone
+    rows = [(k, sign, st) for (k, sign), st in zip(terms, status)]
     dropped_terms = _pair_terms(dropped, 1 if sel.side == "lower" else -1)
     return sorted(rows + [(k, sign, "dropped") for k, sign in dropped_terms])

@@ -91,7 +91,7 @@ def verify_V_identities(
     # dE(m), m = 1..P, repeats with period P since E(P) = E(0) = 0; a tile of
     # it holds every slice of a block
     period = profile.period
-    step = np.diff(profile.values, prepend=profile.values[-1]).astype(np.float64)
+    step = np.diff(profile.values, prepend=0).astype(np.float64)
     tile = np.tile(step, min(_SEGMENT, x_max + 1) // period + 2)
     de = _Slices(lambda a, b: tile[(a - 1) % period :][: b - a])
     lam_de = _dirichlet_sum(tables.lam, de, x_max)
@@ -304,11 +304,13 @@ def psi_pi_bracket(x: float, alpha: float, tables: SieveTables) -> PsiPiBracket:
 
 
 def verify_psi_pi(
-    alpha: float, xs: list[float], tables: SieveTables
+    alpha: float, xs: list[float], tables: SieveTables | None = None
 ) -> VerificationReport:
-    """psi(x) <= pi(x) ln x <= psi(x)/alpha + x^alpha ln x at every ladder point."""
-    if not xs:
-        raise OutOfRangeError("need at least one ladder point")
+    """psi(x) <= pi(x) ln x <= psi(x)/alpha + x^alpha ln x at every ladder point, each
+    finite and above 1; the tables are _sieve_for's at the largest point."""
+    if not xs or not all(1 < x < math.inf for x in xs):  # NaN fails every comparison
+        raise OutOfRangeError("need ladder points, each finite and above 1")
+    tables = _sieve_for(math.floor(max(xs)), tables)
     brackets = [psi_pi_bracket(x, alpha, tables) for x in xs]
     # a float a - b is > 0 iff a > b, so a bracket holds iff its gap is <= 0
     gaps = [max(br.psi_value - br.pi_ln_x, br.pi_ln_x - br.upper) for br in brackets]

@@ -299,6 +299,13 @@ def test_build_sieve_capacity_guard():
         build_sieve(0)
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_build_sieve_refuses_a_limit_below_one_as_out_of_range(limit):
+    # out of range, as in every sieve check; CapacityError is for the cap alone
+    with pytest.raises(OutOfRangeError):
+        build_sieve(limit)
+
+
 def test_chebyshev_T_matches_lgamma():
     for x in (1, 2, 5, 10, 100, 1000.7):
         assert chebyshev_T(x) == pytest.approx(

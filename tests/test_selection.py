@@ -11,6 +11,7 @@ from chebsylv import (
     CapacityError,
     DominationError,
     EProfile,
+    OutOfRangeError,
     e_profile,
     list_dropped_pairs,
     select_terms,
@@ -306,6 +307,36 @@ def test_selection_rows_statuses(profiles):
     assert (1, 1, "leading") in rows
     assert (6, -1, "leading") in rows
     assert (7, 1, "kept") in rows and (12, -1, "kept") in rows
+
+
+@pytest.mark.parametrize("rho", [1.1, 1.5])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_selection_rows_follow_the_side_layout(profiles, side, rho):
+    # psi(x) - psi(x/N) leads the lower side, psi(x) alone the upper; then two
+    # rows per kept pair and one per standalone, and two per dropped pair
+    lead, opens = (2, 1) if side == "lower" else (1, -1)
+    for name, p in profiles.items():
+        sel = select_terms(p, side, rho)
+        dropped = list_dropped_pairs(p, sel)
+        rows = selection_rows(sel, dropped)
+        status = (
+            ["leading"] * lead + ["kept"] * (2 * len(sel.kept_pairs))
+            + ["standalone"] * len(sel.standalones)
+        )
+        terms = bound_terms(sel)
+        assert len(terms) == len(status), name
+        assert [r for r in rows if r[2] != "dropped"] == sorted(
+            (k, sign, st) for (k, sign), st in zip(terms, status)
+        ), name
+        assert [r for r in rows if r[2] == "dropped"] == sorted(
+            row for m, n in dropped for row in ((m, opens, "dropped"), (n, -opens, "dropped"))
+        ), name
+
+
+def test_a_side_other_than_lower_or_upper_is_out_of_range(profiles):
+    # a library error, which the CLI reports, not a bare ValueError
+    with pytest.raises(OutOfRangeError, match="'left'"):
+        select_terms(profiles["nu4"], "left", 1.2)
 
 
 def test_scan_end_is_whole_periods(profiles):

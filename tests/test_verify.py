@@ -10,6 +10,7 @@ from chebsylv import (
     BUILTINS,
     CapacityError,
     OutOfRangeError,
+    build_sieve,
     check_convolution_identities,
     constant_A,
     select_terms,
@@ -542,3 +543,26 @@ def test_sieve_checks_reject_x_max_below_one_first(monkeypatch, profiles, check,
     monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
     with pytest.raises(OutOfRangeError):
         _sieve_check(check, x_max, _NoTables() if given else None, profiles["cheb"])
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**5])
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+def test_psi_pi_builds_the_sieve_it_needs(tables_10k, limit, alpha):
+    ladder = [x for x in (100, 1000, 10**4, limit) if x <= limit]  # the CLI's
+    expected = verify_psi_pi(alpha, ladder, build_sieve(max(ladder)))
+    assert verify_psi_pi(alpha, ladder) == expected
+    # tables that stop short of the ladder give way to a sieve that reaches it
+    assert verify_psi_pi(alpha, ladder, build_sieve(max(ladder) - 1)) == expected
+    assert verify_psi_pi(alpha, ladder, tables_10k) == expected
+
+
+@pytest.mark.parametrize("ladder", [[], [100, math.nan], [100, math.inf], [100, -math.inf],
+                                    [100, 1], [100, 0], [0.0]])
+@pytest.mark.parametrize("given", [True, False], ids=["tables", "no-tables"])
+def test_psi_pi_refuses_a_bad_ladder_first(monkeypatch, ladder, given):
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the range check")
+
+    monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
+    with pytest.raises(OutOfRangeError):
+        verify_psi_pi(0.75, ladder, _NoTables() if given else None)
