@@ -171,13 +171,14 @@ def _cmd_iterate(args) -> dict:
 
 def _cmd_sweep(args) -> dict:
     s = resolve_scheme(args.scheme)
-    window = (args.rho_min, args.rho_max, args.step)
-    rows, optimum = sweep._sweep(s, *window, args.exclude or (), optimize=args.refine)
+    window = (s, args.rho_min, args.rho_max, args.step, args.exclude or ())
+    optimum = _fields(sweep.optimize_rho(*window)) if args.refine else None
+    rows = optimum.pop("rows") if optimum else sweep.sweep_rho(*window)  # the grid, solved once
     table = [_fields(r) for r in rows]
     if args.csv:
         _write_csv(args.csv, list(table[0]), (row.values() for row in table))
     payload = {"scheme": render_scheme(s), "rows": table}
-    if args.refine:
+    if optimum:
         payload["optimum"] = optimum
     return payload
 

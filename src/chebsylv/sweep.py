@@ -94,7 +94,8 @@ def _table(
 
 
 @dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult:  # the grid rows searched, as sweep_rho gives them, then each optimum
+    rows: tuple[SweepRow, ...]  # a tuple, so that the result stays hashable
     best_a: SweepRow
     best_b: SweepRow
     best_ratio: SweepRow
@@ -121,45 +122,18 @@ def _self_consistent(row: SweepRow, ratios: list[float], lo: float, hi: float) -
     return row
 
 
-def _sweep(
-    s: Scheme,
-    rho_min: float,
-    rho_max: float,
-    step: float,
-    exclude: tuple[tuple[int, int], ...],
-    optimize: bool = False,
-) -> tuple[list[SweepRow], OptimizeResult | None]:
-    """The grid rows, and with optimize the optimum searched around them."""
+def _grid(
+    s: Scheme, rho_min: float, rho_max: float, step: float, exclude: tuple[tuple[int, int], ...]
+) -> tuple[list[float], Callable[[list[float]], Iterator[SweepRow]], list[SweepRow]]:
+    """_table's plateau tops and rows(rhos), and the rows of the grid."""
     if not (1 < rho_min < rho_max < math.inf and 0 < step < math.inf):
         raise OutOfRangeError("require 1 < rho_min < rho_max and 0 < step, all finite")
     # on the fractions _select reads: 1.35 to 1.3500002 at 2e-8 is 11 points, not the float's 10
     span = (_simplest_fraction(rho_max) - _simplest_fraction(rho_min)) / _simplest_fraction(step)
     if (points := math.floor(span) + 1) > MAX_GRID_POINTS:
         raise CapacityError(f"{Decimal(points):.3g} grid points, over the cap of {MAX_GRID_POINTS}")
-    grid = [rho_min + i * step for i in range(points)]
     ratios, rows = _table(s, rho_min, exclude)
-    grid_rows = list(rows(grid))
-    if not optimize:
-        return grid_rows, None
-    usable = [r for r in grid_rows if r.converges and r.a_limit > 0]
-    if not usable:
-        raise IterationError("no converging grid point in the sweep range")
-    keys = (lambda r: -r.a_limit, lambda r: r.b_limit, lambda r: r.ratio)
-    hi = max(rho_max, grid[-1])  # grid points may pass rho_max by rounding
-    # the plateaus within two steps of each best grid row, and the one of b/a in the window
-    best = [min(usable, key=key) for key in keys]
-    near = {bisect_left(ratios, min(best[2].ratio, hi))}
-    for b in best:
-        first, last = (bisect_left(ratios, b.rho + d * step) for d in (-2, 2))
-        near.update(range(first, last + 1))
-    near -= {bisect_left(ratios, g) for g in grid}  # only a plateau off the grid can beat it
-    # each solved at its top, to PRINT_DIGITS: a plateau narrower than that is passed over
-    labels = [x for i in sorted(near) if (x := _label(min(ratios[i], hi))) > ratios[i - 1]]
-    usable += [r for r in rows(labels) if r.converges and r.a_limit > 0]
-    best_a, best_b, best_ratio = (min(usable, key=key) for key in keys)
-    best_ratio = _self_consistent(best_ratio, ratios, rho_min, hi)
-    residual = abs(best_ratio.rho - best_ratio.ratio)
-    return grid_rows, OptimizeResult(best_a, best_b, best_ratio, residual)
+    return ratios, rows, list(rows([rho_min + i * step for i in range(points)]))
 
 
 def sweep_rho(
@@ -170,7 +144,7 @@ def sweep_rho(
     exclude: tuple[tuple[int, int], ...] = (),
 ) -> list[SweepRow]:
     """One SweepRow per grid point rho_min, rho_min+step, ..., <= rho_max."""
-    return _sweep(s, rho_min, rho_max, step, exclude)[0]
+    return _grid(s, rho_min, rho_max, step, exclude)[2]
 
 
 def optimize_rho(
@@ -180,5 +154,24 @@ def optimize_rho(
     coarse_step: float = 0.005,
     exclude: tuple[tuple[int, int], ...] = (),
 ) -> OptimizeResult:
-    """Locate near-optimal rho for argmax a, argmin b, and argmin b/a."""
-    return _sweep(s, rho_min, rho_max, coarse_step, exclude, optimize=True)[1]
+    """Locate near-optimal rho for argmax a, argmin b, and argmin b/a; rows keeps the grid."""
+    ratios, rows, grid_rows = _grid(s, rho_min, rho_max, coarse_step, exclude)
+    usable = [r for r in grid_rows if r.converges and r.a_limit > 0]
+    if not usable:
+        raise IterationError("no converging grid point in the sweep range")
+    keys = (lambda r: -r.a_limit, lambda r: r.b_limit, lambda r: r.ratio)
+    hi = max(rho_max, grid_rows[-1].rho)  # grid points may pass rho_max by rounding
+    # the plateaus within two steps of each best grid row, and the one of b/a in the window
+    best = [min(usable, key=key) for key in keys]
+    near = {bisect_left(ratios, min(best[2].ratio, hi))}
+    for b in best:
+        first, last = (bisect_left(ratios, b.rho + d * coarse_step) for d in (-2, 2))
+        near.update(range(first, last + 1))
+    near -= {bisect_left(ratios, r.rho) for r in grid_rows}  # only a plateau off the grid can win
+    # each solved at its top, to PRINT_DIGITS: a plateau narrower than that is passed over
+    labels = [x for i in sorted(near) if (x := _label(min(ratios[i], hi))) > ratios[i - 1]]
+    usable += [r for r in rows(labels) if r.converges and r.a_limit > 0]
+    best_a, best_b, best_ratio = (min(usable, key=key) for key in keys)
+    best_ratio = _self_consistent(best_ratio, ratios, rho_min, hi)
+    residual = abs(best_ratio.rho - best_ratio.ratio)
+    return OptimizeResult(tuple(grid_rows), best_a, best_b, best_ratio, residual)

@@ -261,6 +261,21 @@ def test_sweep_refine_optimum_printed_on_its_plateau(capsys):
     _assert_printed_rhos_keep_their_terms(capsys, argv)
 
 
+def test_sweep_refine_selects_each_side_once(capsys, monkeypatch):
+    # grid and optimum come from one solve: calling sweep_rho, then optimize_rho, selects four times
+    sides = []
+
+    def counted(p, side, *args, **kwargs):
+        sides.append(side)
+        return select_terms(p, side, *args, **kwargs)
+
+    monkeypatch.setattr("chebsylv.sweep.select_terms", counted)
+    argv = "sweep nu8 --rho-min 1.06 --rho-max 1.26 --step 0.01 --refine".split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "optimum" in json.loads(out)
+    assert sorted(sides) == ["lower", "upper"]
+
+
 def test_verify_convolution(capsys):
     code, out, _ = run_cli(capsys, "verify", "convolution", "--limit", "1000")
     assert code == 0

@@ -84,9 +84,8 @@ def test_benchmark_reads_only_sieve_table_fields():
     assert sorted(n for n in names if n not in fields and not hasattr(SieveTables, n)) == []
 
 
-def test_cli_reads_no_private_name_of_a_layer_but_the_sweep():
-    # the CLI calls each layer through its public names, except the sweep's
-    # one-pass grid and optimum
+def test_cli_reads_no_private_name_of_any_layer():
+    # the CLI calls each layer through its public names alone
     tree = ast.parse((ROOT / "src" / "chebsylv" / "cli.py").read_text())
     private = {
         f"{node.value.id}.{node.attr}"
@@ -96,7 +95,7 @@ def test_cli_reads_no_private_name_of_a_layer_but_the_sweep():
         and node.value.id in EXPORTS
         and node.attr.startswith("_")
     }
-    assert private == {"sweep._sweep"}
+    assert private == set()
 
 
 def _library_layers() -> list[str]:

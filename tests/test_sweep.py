@@ -111,6 +111,23 @@ def test_optimum_matches_the_plateau_walk(name, rho_min, rho_max, step):
     _assert_matches_plateau_walk(optimize_rho(s, rho_min, rho_max, step), s, rho_min, rho_max, step)
 
 
+# the windows of the four golden `sweep --refine` commands
+REFINE_WINDOWS = [
+    ("cheb", 1.02, 2.0, 0.005), ("nu5", 1.05, 1.6, 0.01),
+    ("nu7", 1.08, 1.3, 0.01), ("nu8", 1.06, 1.26, 0.01),
+]
+
+
+@pytest.mark.parametrize("name, rho_min, rho_max, step", REFINE_WINDOWS + SEEDED_WINDOWS)
+def test_optimum_carries_the_grid_rows_of_the_sweep(name, rho_min, rho_max, step):
+    # the grid is solved once, in optimize_rho, and handed back as sweep_rho makes it
+    s = BUILTINS[name]
+    result = optimize_rho(s, rho_min, rho_max, step)
+    assert type(result.rows) is tuple
+    assert result.rows == tuple(sweep_rho(s, rho_min, rho_max, step))
+    hash(result)  # a frozen result of tuples stays hashable
+
+
 @pytest.mark.parametrize(
     "name, rho_min, rho_max, step",
     [

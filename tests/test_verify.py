@@ -566,3 +566,15 @@ def test_psi_pi_refuses_a_bad_ladder_first(monkeypatch, ladder, given):
     monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
     with pytest.raises(OutOfRangeError):
         verify_psi_pi(0.75, ladder, _NoTables() if given else None)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("given", [True, False], ids=["tables", "no-tables"])
+def test_psi_pi_refuses_a_bad_alpha_first(monkeypatch, tables_100k, alpha, given):
+    # alpha is refused before any sieve is built, as the ladder is
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the alpha check")
+
+    monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
+    with pytest.raises(OutOfRangeError, match="alpha"):
+        verify_psi_pi(alpha, [100, 1000, 10**4], tables_100k if given else None)
