@@ -27,7 +27,7 @@ from .kernel import (
     pi_count,
     psi,
 )
-from .scheme import Scheme, EProfile, e_profile, constant_A
+from .scheme import Scheme, e_profile, constant_A
 
 if TYPE_CHECKING:
     from .selection import TermSelection
@@ -70,24 +70,18 @@ def _running_report(name: str, x_max: int, block: int, fill) -> VerificationRepo
 
 
 def verify_V_identities(
-    s: Scheme,
-    x_max: int,
-    tables: SieveTables | None = None,
-    profile: EProfile | None = None,
+    s: Scheme, x_max: int, tables: SieveTables | None = None
 ) -> VerificationReport:
     """Check sum_k nu(k) T(x/k) == sum_k E(x/k) Lambda(k) for all x <= x_max.
 
-    Differenced in x, the two sides are sum_{k|n} nu(k) ln(n/k) and
-    (Lambda * dE)(n) with dE(m) = E(m) - E(m-1), E(0) = 0; the deviation at x
-    is accumulated from their per-n differences. Measured max deviation over
-    the nine built-ins, against TOL = 1e-6: 8.6e-13 at x_max 10^4, 1.1e-11
-    at 10^5, 7.0e-11 at 10^6 and 7.5e-10 at 10^7 (x86-64, numpy 2.4).
+    E is e_profile(s), computed before the sieve. Differenced in x, the sides
+    are sum_{k|n} nu(k) ln(n/k) and (Lambda * dE)(n), dE(m) = E(m) - E(m-1),
+    E(0) = 0; the deviation at x sums their per-n differences. Measured max
+    deviation over the nine built-ins, against TOL = 1e-6: 8.6e-13 at x_max
+    10^4, 1.1e-11 at 10^5, 7.0e-11 at 10^6 and 7.5e-10 at 10^7 (x86-64, numpy 2.4).
     """
+    profile = e_profile(s)
     tables = _sieve_for(x_max, tables)
-    if profile is None:
-        profile = e_profile(s)
-    if profile.values[-1]:  # e_profile pins it to 0; no profile of a scheme has another
-        raise OutOfRangeError(f"E(P) = {profile.values[-1]}, not 0: not a periodic E-profile")
     # dE(m), m = 1..P, repeats with period P since E(P) = E(0) = 0; a tile of
     # it holds every slice of a block
     period = profile.period
@@ -142,6 +136,7 @@ def verify_selection_bounds(
 
 def verify_asymptotic_A(s: Scheme, xs: list[int]) -> VerificationReport:
     """Check |V(x) - A x| / ln x stays bounded along a geometric ladder."""
+    e_profile(s)  # V(x) ~ A x needs a cancelling scheme: refuse others, as every command does
     if not all(-math.inf < x < math.inf for x in xs):  # NaN fails every comparison
         raise OutOfRangeError("ladder points must be finite")
     xs = sorted(x for x in xs if x >= 2)

@@ -209,9 +209,7 @@ def test_criterion_07_oracle_identity_suite(profiles, tables_10k, tables_100k):
     assert conv.passed and max(conv.max_dev_T, conv.max_dev_psi) <= 1e-6
 
     for name in ("cheb", "nu4", "nu8"):
-        rep = verify_V_identities(
-            BUILTINS[name], 10**4, tables_10k, profiles[name]
-        )
+        rep = verify_V_identities(BUILTINS[name], 10**4, tables_10k)
         assert rep.passed, name
 
     for name, rho in LISTED_PAIRS:

@@ -461,6 +461,8 @@ def test_floats_have_12_significant_digits(capsys):
         "6:-4000000000000000000,30:-2000000000000000000,60:-4000000000000000068",
         "select 1:1,2:-20000000000000000000,4:39999999999999999996 --rho 1.3 --side lower",
         f"verify asymptotic --scheme 1:1,2:{2 * 10**399},4:{-4 * 10**399 - 4}",
+        "verify asymptotic --scheme 1:1,2:-1 --limit 100000",  # not cancelling
+        "verify asymptotic --scheme 1:1,1000003:-1000003 --limit 100000",  # period over the cap
         # 4 * 10^8 + 6 unit jumps a period, past selection.MAX_PATTERN_UNITS
         "select 1:1,2:200000000,4:-400000004 --rho 1.5 --side lower",
     ],
@@ -470,6 +472,17 @@ def test_bad_user_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("chebsylv: error")
+
+
+def test_v_identity_refuses_a_scheme_before_the_sieve(monkeypatch, capsys):
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the scheme was profiled")
+
+    monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
+    argv = "verify v-identity --scheme 1:1,2:-1 --limit 10000000".split()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "fails the cancellation condition" in err
 
 
 def test_iterate_steps_over_the_cap_exit_2_at_once(capsys):

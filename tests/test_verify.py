@@ -10,9 +10,11 @@ from chebsylv import (
     BUILTINS,
     CapacityError,
     OutOfRangeError,
+    SchemeError,
     build_sieve,
     check_convolution_identities,
     constant_A,
+    parse_scheme,
     select_terms,
     verify_V_identities,
     verify_asymptotic_A,
@@ -83,7 +85,7 @@ def _same_report(got, want):
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_v_identities_match_brute_force(tables_10k, profiles, name):
     for x_max in (1, 2, 3, 30, 2000):
-        report = verify_V_identities(BUILTINS[name], x_max, tables_10k, profiles[name])
+        report = verify_V_identities(BUILTINS[name], x_max, tables_10k)
         devs = brute_v_devs(BUILTINS[name], x_max, tables_10k, profiles[name])
         assert report.max_violation == pytest.approx(devs.max(), abs=1e-9), x_max
         assert report.passed
@@ -93,11 +95,12 @@ def test_v_identities_match_brute_force(tables_10k, profiles, name):
 # deviation whose maximum over x <= 2000 is attained at a single x, so the
 # witness is not decided by round-off.
 @pytest.mark.parametrize("name, slot", [("cheb", 8), ("nu4", 0)])
-def test_v_identities_catch_a_wrong_e_value(tables_10k, profiles, name, slot):
+def test_v_identities_catch_a_wrong_e_value(monkeypatch, tables_10k, profiles, name, slot):
     values = profiles[name].values.copy()
     values[slot] += 1
     bad = dataclasses.replace(profiles[name], values=values)
-    report = verify_V_identities(BUILTINS[name], 2000, tables_10k, bad)
+    monkeypatch.setattr("chebsylv.verify.e_profile", lambda s: bad)
+    report = verify_V_identities(BUILTINS[name], 2000, tables_10k)
     devs = brute_v_devs(BUILTINS[name], 2000, tables_10k, bad)
     runner_up, worst = np.sort(devs)[-2:]
     assert worst - runner_up > 1.0
@@ -106,23 +109,13 @@ def test_v_identities_catch_a_wrong_e_value(tables_10k, profiles, name, slot):
     assert report.witness_x == int(devs.argmax()) + 1
 
 
-@pytest.mark.parametrize("name", ["cheb", "nu4"])
-def test_v_identities_refuse_a_profile_with_e_of_p_nonzero(tables_10k, profiles, name):
-    # E(P) is the one value e_profile pins to 0: E(x + P) = E(x) + E(P) for every x
-    values = profiles[name].values.copy()
-    values[-1] += 1
-    bad = dataclasses.replace(profiles[name], values=values)
-    with pytest.raises(OutOfRangeError, match=r"E\(P\) = 1"):
-        verify_V_identities(BUILTINS[name], 2000, tables_10k, bad)
-
-
 # x_max on either side of the identity checks' block boundaries (_SEGMENT =
 # 2^18 entries), past several blocks, and at the largest tables here
 IDENTITY_LIMITS = (1, 2, 30, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6)
 
 
 @pytest.mark.parametrize("x_max", IDENTITY_LIMITS)
-def test_identity_checks_equal_the_whole_array_oracle(tables_1m, profiles, x_max):
+def test_identity_checks_equal_the_whole_array_oracle(monkeypatch, tables_1m, profiles, x_max):
     assert check_convolution_identities(x_max, tables_1m) == whole_array_convolution_identities(
         x_max, tables_1m
     )
@@ -132,18 +125,17 @@ def test_identity_checks_equal_the_whole_array_oracle(tables_1m, profiles, x_max
         values = profile.values.copy()
         values[0] += 1  # E(1) off by one: the check fails, with a witness
         for p in (profile, dataclasses.replace(profile, values=values)):
-            got = verify_V_identities(s, x_max, tables_1m, p)
+            monkeypatch.setattr("chebsylv.verify.e_profile", lambda _s, p=p: p)
+            got = verify_V_identities(s, x_max, tables_1m)
             assert got == whole_array_v_identities(s, x_max, tables_1m, p), name
             witnesses.add(got.witness_x)
     # at x = 1 every side is 0, whatever E(1) is
     assert None in witnesses and (x_max == 1 or len(witnesses) > 1)
 
 
-def test_v_identities_small_schemes(tables_10k, profiles):
+def test_v_identities_small_schemes(tables_10k):
     for name in ("cheb", "nu4"):
-        report = verify_V_identities(
-            BUILTINS[name], 2000, tables_10k, profiles[name]
-        )
+        report = verify_V_identities(BUILTINS[name], 2000, tables_10k)
         assert report.passed, name
         assert report.max_violation <= 1e-6
 
@@ -506,7 +498,7 @@ def test_blocked_checks_work_in_a_few_block_buffers(tables_1m, profiles):
     assert _peak_bytes(lambda: verify_final_bounds(0.9226, 1.0765, 10**6, tables_1m)) <= 2 * 2**20
 
 
-def test_identity_checks_work_in_place(tables_1m, profiles):
+def test_identity_checks_work_in_place(tables_1m):
     # beyond the sieve tables, the identity checks hold a few float64 buffers
     # of one 2^18-entry block (2 MB each): the block's sums, ln m for
     # m <= 2^18, a fresh slice of logs, and for V the dE tile of a block and
@@ -514,7 +506,7 @@ def test_identity_checks_work_in_place(tables_1m, profiles):
     limit = 12 * (10**6 + 1)
     assert _peak_bytes(lambda: check_convolution_identities(10**6, tables_1m)) <= limit
     for name in sorted(BUILTINS):
-        check = lambda: verify_V_identities(BUILTINS[name], 10**6, tables_1m, profiles[name])
+        check = lambda: verify_V_identities(BUILTINS[name], 10**6, tables_1m)
         assert _peak_bytes(check) <= limit, name
 
 
@@ -528,7 +520,7 @@ def _sieve_check(check, x_max, tables, profile):
     if check == "convolution":
         return check_convolution_identities(x_max, tables)
     if check == "v-identity":
-        return verify_V_identities(s, x_max, tables, profile)
+        return verify_V_identities(s, x_max, tables)
     lower, upper = (select_terms(profile, side, 1.5) for side in ("lower", "upper"))
     return verify_selection_bounds(s, lower, upper, x_max, tables)
 
@@ -543,6 +535,22 @@ def test_sieve_checks_reject_x_max_below_one_first(monkeypatch, profiles, check,
     monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
     with pytest.raises(OutOfRangeError):
         _sieve_check(check, x_max, _NoTables() if given else None, profiles["cheb"])
+
+
+# 1:1,2:-1 does not cancel; 1:1,1000003:-1000003 cancels with a period over PERIOD_CAP
+@pytest.mark.parametrize(
+    "scheme, error", [("1:1,2:-1", SchemeError), ("1:1,1000003:-1000003", CapacityError)]
+)
+@pytest.mark.parametrize("given", [True, False], ids=["tables", "no-tables"])
+def test_v_identities_profile_the_scheme_before_the_sieve(
+    monkeypatch, tables_10k, scheme, error, given
+):
+    def no_sieve(limit):
+        raise AssertionError("sieve built before the scheme was profiled")
+
+    monkeypatch.setattr("chebsylv.kernel.build_sieve", no_sieve)
+    with pytest.raises(error):
+        verify_V_identities(parse_scheme(scheme), 10**4, tables_10k if given else None)
 
 
 @pytest.mark.parametrize("limit", [10**4, 10**5])
